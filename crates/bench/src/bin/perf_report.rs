@@ -56,6 +56,12 @@
 //!   loop's micro-batch scheduler) vs sixty-four sequential `sample` calls
 //!   on the same fitted TVAE (`baseline_kind: "unbatched_sample_calls"`),
 //!   gated at 1.0x by `--check` like every unsuffixed entry.
+//! * **SMOTE neighbour search** — `smote_knn_<n>`: the exact SIMD-tiled
+//!   `nn::knn::k_nearest` on SMOTE's anchors at the pinned fixture scale
+//!   (the default generator at 20,000 gross records: 9,667 rows × 79
+//!   encoded columns) vs the seed brute force frozen in
+//!   `nn::knn::reference` (`baseline_kind: "seed_knn"`), with the two
+//!   neighbour lists asserted equal inside the harness. Gated at 1.0x.
 //!
 //! Every kernel entry carries `threads` and `dtype` fields, and entry
 //! *names* encode both (`_t4`, `_f32` suffixes), so a regenerated report
@@ -77,8 +83,10 @@
 //! panic.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::time::Instant;
 
+use nn::knn;
 use nn::matrix::reference;
 use nn::{
     bce_with_logits, gaussian_kl, standard_normal_matrix, Activation, Adam, AdamConfig,
@@ -88,10 +96,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use surrogate::experiment::prepare_data_from_config;
 use surrogate::mixed::{mixed_activation, mixed_activation_backward, mixed_reconstruction_loss};
 use surrogate::{
-    CtabGan, CtabGanConfig, SampleSpec, TabDdpm, TabDdpmConfig, TableCodec, TabularGenerator, Tvae,
-    TvaeConfig,
+    atomic_write, CtabGan, CtabGanConfig, NamedGeneratorConfig, SampleSpec, SmoteConfig, TabDdpm,
+    TabDdpmConfig, TableCodec, TabularGenerator, Tvae, TvaeConfig,
 };
 use tabular::{Column, FeatureKind, Table};
 
@@ -1853,6 +1862,40 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
     )
 }
 
+/// SMOTE's kNN at the fixture scale: the anchors `SmoteSampler::fit`
+/// searches when fitted on the default generator's 20,000 gross records
+/// (seed 2024; 9,667 training rows × 79 encoded columns, below the anchor
+/// cap). The tiled search is timed against the frozen seed brute force
+/// (`baseline_kind: "seed_knn"`) after the two neighbour lists are
+/// asserted equal. The brute force takes seconds per call, so it is timed
+/// once, without a warm-up.
+fn smote_knn_bench(quick: bool) -> KernelBench {
+    let mut named = NamedGeneratorConfig::preset("default").expect("the default preset exists");
+    named.config.gross_records = 20_000;
+    named.config.seed = 2024;
+    let data = prepare_data_from_config(&named.config);
+    let codec = TableCodec::fit(&data.train).expect("codec fits the fixture");
+    let anchors = codec.encode(&data.train).expect("fixture encodes");
+    let k = SmoteConfig::default().k_neighbors;
+    let start = Instant::now();
+    let seed_lists = knn::reference::brute_force_knn(&anchors, k);
+    let base_ns = start.elapsed().as_secs_f64() * 1e9;
+    assert_eq!(
+        knn::k_nearest(&anchors, k),
+        seed_lists,
+        "tiled kNN diverged from the seed brute force on the fixture"
+    );
+    let new_ns = time_ns(if quick { 1 } else { 3 }, 1, || {
+        std::hint::black_box(knn::k_nearest(&anchors, k));
+    });
+    kernel_entry(
+        &format!("smote_knn_{}", anchors.rows()),
+        "seed_knn",
+        new_ns,
+        base_ns,
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -1887,6 +1930,10 @@ fn main() {
     kernels.extend(htcsim_benches(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
     kernels.push(serve_batching_bench(quick));
+    eprintln!(
+        "perf_report: timing SMOTE's kNN at the fixture scale (tiled vs seed brute force)..."
+    );
+    kernels.push(smote_knn_bench(quick));
     for k in &kernels {
         eprintln!(
             "  {:<36} new {:>12.0} ns   {:<16} {:>12.0} ns   speedup {:.2}x  [t{} {}]",
@@ -1935,7 +1982,10 @@ fn main() {
         tvae_epoch,
     };
     let json = serde_json::to_string_pretty(&report).expect("render report");
-    std::fs::write(&out_path, json + "\n").expect("write report");
+    if let Err(e) = atomic_write(Path::new(&out_path), (json + "\n").as_bytes()) {
+        eprintln!("perf_report: cannot write {out_path}: {e}");
+        std::process::exit(1);
+    }
 
     match validate(&out_path) {
         Ok(()) => eprintln!("perf_report: wrote and validated {out_path}"),

@@ -65,6 +65,7 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::cli::value;
 use serde::{Deserialize, Serialize};
 use surrogate::artifact_io::fnv1a_hex;
 use surrogate::checkpoint::{
@@ -130,33 +131,6 @@ fn runtime_error(message: &str) -> ! {
 
 fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
-}
-
-/// Flags that consume the following argument.
-const VALUE_FLAGS: &[&str] = &[
-    "--checkpoints",
-    "--queue-depth",
-    "--deadline-ms",
-    "--batch-window-ms",
-    "--max-batch-rows",
-    "--max-rows",
-    "--inject",
-];
-
-/// Extract the value of `name`, refusing to consume another flag as the
-/// value — `--checkpoints --queue-depth 1` is a usage error naming
-/// `--checkpoints`, not a directory called "--queue-depth".
-fn value(args: &[String], name: &str) -> Result<Option<String>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    match args.get(i + 1) {
-        Some(v) if v.starts_with("--") || VALUE_FLAGS.contains(&v.as_str()) => {
-            Err(format!("{name} needs a value, but found the flag '{v}'"))
-        }
-        Some(v) => Ok(Some(v.clone())),
-        None => Err(format!("{name} needs a value")),
-    }
 }
 
 /// Parse `--queue-depth N` (at least 1 — a zero-depth queue would shed

@@ -32,7 +32,7 @@ use htcsim::{BrokerPolicy, GridSimulator, JobArena, SimConfig, SimReport, SimTra
 use serde::{Deserialize, Serialize};
 use surrogate::checkpoint::{Checkpoint, CheckpointRegistry};
 use surrogate::experiment::prepare_data_from_config;
-use surrogate::{ModelKind, TrainingBudget};
+use surrogate::{atomic_write, ModelKind, TrainingBudget};
 
 const SCHEMA_VERSION: u32 = 1;
 
@@ -180,11 +180,10 @@ fn runtime_error(message: &str) -> ! {
     std::process::exit(1);
 }
 
+/// The value of flag `name`; a flag-shaped or missing value is a usage
+/// error (see [`bench::cli::value`]).
 fn value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    bench::cli::value(args, name).unwrap_or_else(|e| usage_error(&e))
 }
 
 fn parse_value<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
@@ -217,20 +216,13 @@ fn main() {
         "--max-rel-delta",
         "--out",
     ];
-    let mut expect_value = false;
-    for arg in &args {
-        if expect_value {
-            expect_value = false;
-            continue;
+    let mut i = 0;
+    while i < args.len() {
+        if !VALUE_FLAGS.contains(&args[i].as_str()) {
+            usage_error(&format!("unknown argument '{}'", args[i]));
         }
-        if VALUE_FLAGS.contains(&arg.as_str()) {
-            expect_value = true;
-        } else {
-            usage_error(&format!("unknown argument '{arg}'"));
-        }
-    }
-    if expect_value {
-        usage_error("flag at end of line is missing its value");
+        value(&args[i..], &args[i]);
+        i += 2;
     }
 
     let checkpoint_dir = value(&args, "--checkpoint-dir")
@@ -395,7 +387,7 @@ fn main() {
         ok: all_ok,
     };
     let rendered = serde_json::to_string_pretty(&artifact).expect("artifact serializes") + "\n";
-    std::fs::write(&out, &rendered)
+    atomic_write(&out, rendered.as_bytes())
         .unwrap_or_else(|e| runtime_error(&format!("cannot write '{}': {e}", out.display())));
     let read_back = std::fs::read_to_string(&out)
         .unwrap_or_else(|e| runtime_error(&format!("cannot re-read '{}': {e}", out.display())));

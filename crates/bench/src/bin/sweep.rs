@@ -58,7 +58,7 @@
 //! laptop). `--quick` is the CI smoke grid: 2 seeds × smoke budget × the
 //! `small` preset × all four models = 8 cells at 2500 gross records.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use metrics::{mean_report, EvaluationConfig, SurrogateReport};
@@ -67,7 +67,9 @@ use surrogate::sweep::{
     NamedGeneratorConfig, ShardSpec, SweepCellRow, SweepGrid, SweepOptions, SweepReport,
     JOURNAL_VERSION,
 };
-use surrogate::{CellBudget, ExecutionMode, FaultClock, FaultPlan, ModelKind, TrainingBudget};
+use surrogate::{
+    atomic_write, CellBudget, ExecutionMode, FaultClock, FaultPlan, ModelKind, TrainingBudget,
+};
 
 const USAGE: &str = "\
 sweep: scenario-sweep runtime over the surrogate experiment pipeline
@@ -162,11 +164,10 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// The value of flag `name`; a flag-shaped or missing value is a usage
+/// error (see [`bench::cli::value`]).
 fn value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    bench::cli::value(args, name).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// Arguments that are neither flags nor a value consumed by one — the input
@@ -340,7 +341,7 @@ fn read_prior(path: &str) -> SweepReport {
 /// through the typed parser (the writer/parser round-trip CI relies on).
 fn write_report(report: &SweepReport, path: &str) {
     let json = serde_json::to_string_pretty(report).expect("render sweep report");
-    std::fs::write(path, json + "\n")
+    atomic_write(Path::new(path), (json + "\n").as_bytes())
         .unwrap_or_else(|e| runtime_error(&format!("cannot write {path}: {e}")));
     match std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
@@ -379,6 +380,11 @@ fn main() {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{USAGE}");
         return;
+    }
+    // Refuse a swallowed flag before any work, not when an output path is
+    // finally read after the whole grid has run.
+    for name in VALUE_FLAGS {
+        value(&args, name);
     }
     if flag(&args, "--merge") {
         merge_main(&args);
@@ -686,7 +692,7 @@ fn run_main(args: &[String]) {
                 csv.push('\n');
             }
         }
-        std::fs::write(&csv_path, csv)
+        atomic_write(Path::new(&csv_path), csv.as_bytes())
             .unwrap_or_else(|e| runtime_error(&format!("cannot write {csv_path}: {e}")));
         eprintln!("sweep: wrote {csv_path}");
     }

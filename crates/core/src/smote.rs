@@ -15,7 +15,6 @@
 use nn::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tabular::Table;
 
@@ -71,6 +70,17 @@ impl SmoteSampler {
         self.config
     }
 
+    /// The encoded anchor rows, once fitted.
+    pub fn anchors(&self) -> Option<&Matrix> {
+        self.anchors.as_ref()
+    }
+
+    /// The nearest-neighbour list of every anchor row, nearest first
+    /// (empty before `fit`).
+    pub fn neighbors(&self) -> &[Vec<usize>] {
+        &self.neighbors
+    }
+
     fn subsample_rows(n: usize, cap: usize) -> Vec<usize> {
         if n <= cap {
             (0..n).collect()
@@ -96,21 +106,27 @@ impl TabularGenerator for SmoteSampler {
         let keep = Self::subsample_rows(encoded.rows(), self.config.max_anchor_rows);
         let anchors = encoded.take_rows(&keep);
 
+        // A non-finite value (a NaN passes the quantile transform as NaN)
+        // would poison every distance to its row.
+        if let Some(at) = anchors.data().iter().position(|v| !v.is_finite()) {
+            let col = at % anchors.cols();
+            let name = codec
+                .spans()
+                .iter()
+                .find(|span| (span.start..span.start + span.width).contains(&col))
+                .map(|span| span.name.as_str())
+                .expect("the spans cover every encoded column");
+            return Err(SurrogateError::InvalidTrainingData(format!(
+                "column `{name}` has a non-finite value in training row {}; \
+                 SMOTE needs finite distances",
+                keep[at / anchors.cols()]
+            )));
+        }
+
         let k = self.config.k_neighbors.min(anchors.rows() - 1).max(1);
-        // Brute-force kNN, parallel over anchor rows.
-        let neighbors: Vec<Vec<usize>> = (0..anchors.rows())
-            .into_par_iter()
-            .map(|i| {
-                let row_i = anchors.row(i);
-                let mut distances: Vec<(usize, f64)> = (0..anchors.rows())
-                    .filter(|&j| j != i)
-                    .map(|j| (j, TableCodec::encoded_distance(row_i, anchors.row(j))))
-                    .collect();
-                distances.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
-                distances.truncate(k);
-                distances.into_iter().map(|(j, _)| j).collect()
-            })
-            .collect();
+        // Exact kNN under `TableCodec::encoded_distance`, bit-identical to
+        // a brute force on every SIMD tier.
+        let neighbors = nn::knn::k_nearest(&anchors, k);
 
         self.codec = Some(codec);
         self.anchors = Some(anchors);
@@ -221,6 +237,29 @@ mod tests {
         t.push_column("x", Column::Numerical(vec![1.0])).unwrap();
         let mut smote = SmoteSampler::new(SmoteConfig::default());
         assert!(smote.fit(&t).is_err());
+    }
+
+    #[test]
+    fn nan_training_value_is_a_typed_error_naming_the_column() {
+        let values: Vec<f64> = (0..30)
+            .map(|i| if i == 11 { f64::NAN } else { i as f64 })
+            .collect();
+        let mut train = Table::new();
+        train
+            .push_column("workload", Column::Numerical(values))
+            .unwrap();
+        let mut smote = SmoteSampler::new(SmoteConfig::default());
+        match smote.fit(&train) {
+            Err(SurrogateError::InvalidTrainingData(msg)) => {
+                assert!(msg.contains("`workload`"), "{msg}");
+                assert!(msg.contains("row 11"), "{msg}");
+            }
+            other => panic!("expected InvalidTrainingData, got {other:?}"),
+        }
+        assert!(matches!(
+            smote.sample(1, 0),
+            Err(SurrogateError::NotFitted(_))
+        ));
     }
 
     #[test]

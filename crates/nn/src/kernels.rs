@@ -288,6 +288,11 @@ trait SimdVec: Copy {
     /// `self + a·b` lane-wise. Bit-exact tiers round the multiply and the
     /// add separately; the FMA/AVX-512 tiers fuse them into one rounding.
     unsafe fn mul_acc(self, a: Self, b: Self) -> Self;
+    /// `self + (a − b)²` lane-wise with the subtract, the multiply and the
+    /// add each rounded separately on **every** tier, the fused ones
+    /// included: the squared-distance kernel behind [`crate::knn`] must be
+    /// bit-identical to the scalar chain wherever it runs.
+    unsafe fn sq_diff_acc(self, a: Self, b: Self) -> Self;
 }
 
 /// Portable one-lane fallback.
@@ -315,6 +320,11 @@ macro_rules! impl_scalar_lane {
             unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
                 Scalar1(self.0 + a.0 * b.0)
             }
+            #[inline(always)]
+            unsafe fn sq_diff_acc(self, a: Self, b: Self) -> Self {
+                let d = a.0 - b.0;
+                Scalar1(self.0 + d * d)
+            }
         }
     };
 }
@@ -332,7 +342,7 @@ mod x86 {
     /// multiply/add pair, `fused` uses the FMA intrinsic.
     macro_rules! impl_x86_lane {
         ($name:ident, $elem:ty, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, sep($mul:ident, $add:ident)) => {
+         $storeu:ident, sep($sub:ident, $mul:ident, $add:ident)) => {
             #[derive(Clone, Copy)]
             pub(super) struct $name($reg);
 
@@ -355,10 +365,15 @@ mod x86 {
                 unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
                     $name($add(self.0, $mul(a.0, b.0)))
                 }
+                #[inline(always)]
+                unsafe fn sq_diff_acc(self, a: Self, b: Self) -> Self {
+                    let d = $sub(a.0, b.0);
+                    $name($add(self.0, $mul(d, d)))
+                }
             }
         };
         ($name:ident, $elem:ty, $reg:ty, $lanes:expr, $set1:ident, $loadu:ident,
-         $storeu:ident, fused($fmadd:ident)) => {
+         $storeu:ident, fused($fmadd:ident, $sub:ident, $mul:ident, $add:ident)) => {
             #[derive(Clone, Copy)]
             pub(super) struct $name($reg);
 
@@ -381,6 +396,11 @@ mod x86 {
                 unsafe fn mul_acc(self, a: Self, b: Self) -> Self {
                     $name($fmadd(a.0, b.0, self.0))
                 }
+                #[inline(always)]
+                unsafe fn sq_diff_acc(self, a: Self, b: Self) -> Self {
+                    let d = $sub(a.0, b.0);
+                    $name($add(self.0, $mul(d, d)))
+                }
             }
         };
     }
@@ -395,7 +415,7 @@ mod x86 {
         _mm_set1_pd,
         _mm_loadu_pd,
         _mm_storeu_pd,
-        sep(_mm_mul_pd, _mm_add_pd)
+        sep(_mm_sub_pd, _mm_mul_pd, _mm_add_pd)
     );
     impl_x86_lane!(
         Avx2F64,
@@ -405,7 +425,7 @@ mod x86 {
         _mm256_set1_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
-        sep(_mm256_mul_pd, _mm256_add_pd)
+        sep(_mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd)
     );
     impl_x86_lane!(
         FmaF64,
@@ -415,7 +435,7 @@ mod x86 {
         _mm256_set1_pd,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
-        fused(_mm256_fmadd_pd)
+        fused(_mm256_fmadd_pd, _mm256_sub_pd, _mm256_mul_pd, _mm256_add_pd)
     );
     impl_x86_lane!(
         Avx512F64,
@@ -425,7 +445,7 @@ mod x86 {
         _mm512_set1_pd,
         _mm512_loadu_pd,
         _mm512_storeu_pd,
-        fused(_mm512_fmadd_pd)
+        fused(_mm512_fmadd_pd, _mm512_sub_pd, _mm512_mul_pd, _mm512_add_pd)
     );
 
     // f32 lanes double every width: four (SSE, baseline), eight (AVX mul+add
@@ -438,7 +458,7 @@ mod x86 {
         _mm_set1_ps,
         _mm_loadu_ps,
         _mm_storeu_ps,
-        sep(_mm_mul_ps, _mm_add_ps)
+        sep(_mm_sub_ps, _mm_mul_ps, _mm_add_ps)
     );
     impl_x86_lane!(
         Avx2F32,
@@ -448,7 +468,7 @@ mod x86 {
         _mm256_set1_ps,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
-        sep(_mm256_mul_ps, _mm256_add_ps)
+        sep(_mm256_sub_ps, _mm256_mul_ps, _mm256_add_ps)
     );
     impl_x86_lane!(
         FmaF32,
@@ -458,7 +478,7 @@ mod x86 {
         _mm256_set1_ps,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
-        fused(_mm256_fmadd_ps)
+        fused(_mm256_fmadd_ps, _mm256_sub_ps, _mm256_mul_ps, _mm256_add_ps)
     );
     impl_x86_lane!(
         Avx512F32,
@@ -468,7 +488,7 @@ mod x86 {
         _mm512_set1_ps,
         _mm512_loadu_ps,
         _mm512_storeu_ps,
-        fused(_mm512_fmadd_ps)
+        fused(_mm512_fmadd_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_add_ps)
     );
 }
 
@@ -614,6 +634,122 @@ kernel_wrappers!(
     row_kernel_avx512_f32,
     block_kernel_avx512_f32
 );
+
+// ---------------------------------------------------------------------------
+// Squared-distance tiles for the exact nearest-neighbour search in
+// `crate::knn`.
+// ---------------------------------------------------------------------------
+
+/// Anchors per squared-distance register tile.
+pub(crate) const DIST_MR: usize = 4;
+/// Candidates per lane-major block; one register tile is
+/// `DIST_MR × DIST_L` distances.
+pub(crate) const DIST_L: usize = 8;
+
+/// Squared distances from `DIST_MR` anchor rows to every candidate of
+/// `blocks` consecutive lane-major blocks, written as
+/// `out[(b·DIST_MR + m)·DIST_L + l]`.
+///
+/// A block holds `DIST_L` candidate rows column-interleaved
+/// (`block[c·DIST_L + l]` is column `c` of candidate `l`). Each lane runs
+/// one sequential chain from `+0.0` over the columns in ascending order,
+/// `acc = acc + (a − b)·(a − b)` with every operation rounded separately —
+/// the same chain as a scalar `map(|(a, b)| (a - b) * (a - b)).sum()` over
+/// the pair, so the result is bit-identical to it on every tier.
+///
+/// # Safety
+///
+/// Every anchor pointer must be valid for `cols` reads, `packed` for
+/// `blocks·cols·DIST_L` reads and `out` for `blocks·DIST_MR·DIST_L`
+/// writes; lane intrinsics require the matching CPU feature.
+#[inline(always)]
+unsafe fn dist_strip_v<V: SimdVec<E = f64>>(
+    anchors: &[*const f64; DIST_MR],
+    packed: *const f64,
+    blocks: usize,
+    cols: usize,
+    out: *mut f64,
+) {
+    let lanes = V::LANES;
+    let vecs = DIST_L / lanes;
+    for b in 0..blocks {
+        let block = packed.add(b * cols * DIST_L);
+        let mut acc = [[V::splat(0.0); DIST_L]; DIST_MR];
+        for c in 0..cols {
+            let row = block.add(c * DIST_L);
+            let mut bv = [V::splat(0.0); DIST_L];
+            for (v, slot) in bv.iter_mut().enumerate().take(vecs) {
+                *slot = V::load(row.add(v * lanes));
+            }
+            for (acc_m, anchor) in acc.iter_mut().zip(anchors) {
+                let av = V::splat(*anchor.add(c));
+                for (slot, &bv) in acc_m.iter_mut().zip(&bv).take(vecs) {
+                    *slot = slot.sq_diff_acc(av, bv);
+                }
+            }
+        }
+        let tile = out.add(b * DIST_MR * DIST_L);
+        for (m, acc_m) in acc.iter().enumerate() {
+            for (v, slot) in acc_m.iter().enumerate().take(vecs) {
+                slot.store(tile.add(m * DIST_L + v * lanes));
+            }
+        }
+    }
+}
+
+/// Generate the `#[target_feature]` wrapper for one tier's distance strip.
+macro_rules! dist_wrapper {
+    ($feature:literal, $lane:ty, $name:ident) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        unsafe fn $name(
+            anchors: &[*const f64; DIST_MR],
+            packed: *const f64,
+            blocks: usize,
+            cols: usize,
+            out: *mut f64,
+        ) {
+            dist_strip_v::<$lane>(anchors, packed, blocks, cols, out);
+        }
+    };
+}
+
+dist_wrapper!("avx2", x86::Avx2F64, dist_strip_avx2);
+dist_wrapper!("avx2,fma", x86::FmaF64, dist_strip_fma);
+dist_wrapper!("avx512f", x86::Avx512F64, dist_strip_avx512);
+
+/// Squared distances from `DIST_MR` anchor rows to the `blocks` lane-major
+/// candidate blocks in `packed`, through `tier` (see [`dist_strip_v`] for
+/// the layouts and the accumulation chain).
+pub(crate) fn dist_strip(
+    tier: SimdTier,
+    anchors: &[&[f64]; DIST_MR],
+    packed: &[f64],
+    blocks: usize,
+    cols: usize,
+    out: &mut [f64],
+) {
+    assert!(anchors.iter().all(|row| row.len() >= cols));
+    assert!(packed.len() >= blocks * cols * DIST_L);
+    assert!(out.len() >= blocks * DIST_MR * DIST_L);
+    let anchors = anchors.map(<[f64]>::as_ptr);
+    let (packed, out) = (packed.as_ptr(), out.as_mut_ptr());
+    // SAFETY: the asserts above cover every read and write the strip makes,
+    // and `active_tier` never selects a tier the host cannot run.
+    unsafe {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => dist_strip_avx512(&anchors, packed, blocks, cols, out),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Fma => dist_strip_fma(&anchors, packed, blocks, cols, out),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => dist_strip_avx2(&anchors, packed, blocks, cols, out),
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Sse2 => dist_strip_v::<x86::Sse2F64>(&anchors, packed, blocks, cols, out),
+            _ => dist_strip_v::<Scalar1<f64>>(&anchors, packed, blocks, cols, out),
+        }
+    }
+}
 
 /// Dispatch one strided row-kernel call through the active tier.
 ///

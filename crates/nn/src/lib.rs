@@ -20,12 +20,15 @@
 //! * [`optim`] — SGD and Adam,
 //! * [`schedule`] — cosine learning-rate decay (the schedule the paper
 //!   trains with),
-//! * [`sample`] — Gaussian / Gumbel-softmax sampling helpers.
+//! * [`sample`] — Gaussian / Gumbel-softmax sampling helpers,
+//! * [`knn`] — exact k-nearest-neighbour search on the same SIMD tiers,
+//!   bit-identical to a brute force on every tier (SMOTE's neighbour lists).
 //!
 //! Everything is deterministic given an RNG seed, which the tests and the
 //! experiment harness rely on.
 
 mod kernels;
+pub mod knn;
 pub mod layer;
 pub mod loss;
 pub mod matrix;

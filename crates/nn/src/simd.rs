@@ -132,7 +132,7 @@ fn detected_auto_tier() -> SimdTier {
 
 /// Best tier the host CPU supports at all, including the opt-in fused
 /// tiers — the ceiling explicit `SURROGATE_SIMD` requests are clamped to.
-fn detected_max_tier() -> SimdTier {
+pub(crate) fn detected_max_tier() -> SimdTier {
     #[cfg(target_arch = "x86_64")]
     {
         if std::is_x86_feature_detected!("avx512f") {

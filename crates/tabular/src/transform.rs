@@ -181,11 +181,19 @@ impl NumericTransform for QuantileTransformer {
         Ok(())
     }
 
+    /// A NaN has no rank, so it passes through as NaN; callers that need
+    /// finite codes reject it (SMOTE's fit does, naming the column).
     fn transform(&self, values: &[f64]) -> Result<Vec<f64>, TabularError> {
         self.check_fitted()?;
         Ok(values
             .iter()
-            .map(|&x| inverse_normal_cdf(self.ecdf(x)))
+            .map(|&x| {
+                if x.is_nan() {
+                    x
+                } else {
+                    inverse_normal_cdf(self.ecdf(x))
+                }
+            })
             .collect())
     }
 
@@ -426,6 +434,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn quantile_transform_passes_nan_through() {
+        let mut qt = QuantileTransformer::new();
+        qt.fit(&[1.0, f64::NAN, 3.0, 2.0]).unwrap();
+        let z = qt.transform(&[2.0, f64::NAN]).unwrap();
+        assert!(z[0].is_finite());
+        assert!(z[1].is_nan());
     }
 
     #[test]
