@@ -26,21 +26,13 @@
 //!     discriminator step, on today's kernels — so its `speedup` isolates
 //!     the fused-concatenated-batch change.
 //!
-//! * **Throughput-ladder benches** (schema v3) — the multi-threaded and
-//!   `f32` rungs of the packed driver, each gated against its *own* tier so
-//!   `--check` always compares like-for-like:
-//!   * `matmul_packed_<shape>_t<N>` — the packed driver fanned over the
-//!     rayon pool vs the same packed path run sequentially in the same
-//!     process (`baseline_kind: "seq_own_dtype"`). Emitted only when the
-//!     pool has more than one executor; exempt from the `--check` gate on
-//!     single-core hosts, where a parallel fan-out cannot win.
-//!   * `matmul_packed_<shape>_f32` — the `f32` instantiation (double SIMD
-//!     lanes, half the memory traffic) vs the `f64` packed path
-//!     (`baseline_kind: "packed_f64"`).
-//!   * `matmul_packed_<shape>_t<N>_f32` — `f32` parallel vs `f32`
-//!     sequential (`baseline_kind: "seq_own_dtype"`).
-//!   * `mlp_infer_<shape>_f32` — `Mlp32` inference vs the `f64` `Mlp`
-//!     (`baseline_kind: "mlp_infer_f64"`).
+//! * **Throughput-ladder benches** (schema v3) — the multi-threaded rungs
+//!   of the packed driver, `matmul_packed_<shape>_t<N>`: the packed driver
+//!   fanned over the rayon pool vs the same packed path run sequentially in
+//!   the same process (`baseline_kind: "seq_own_dtype"`), so `--check`
+//!   always compares like-for-like. Emitted only when the pool has more
+//!   than one executor; exempt from the `--check` gate on single-core
+//!   hosts, where a parallel fan-out cannot win.
 //! * **Simulator throughput benches** — `htcsim_throughput_queue_<N>`: the
 //!   bucketed calendar event queue vs the seed `BinaryHeap` scheduler
 //!   (`baseline_kind: "binary_heap"`) under the classic hold model; and
@@ -63,10 +55,10 @@
 //!   `nn::knn::reference` (`baseline_kind: "seed_knn"`), with the two
 //!   neighbour lists asserted equal inside the harness. Gated at 1.0x.
 //!
-//! Every kernel entry carries `threads` and `dtype` fields, and entry
-//! *names* encode both (`_t4`, `_f32` suffixes), so a regenerated report
-//! never gates a new tier against an old baseline kind — the name↔kind
-//! conventions are validated on read-back.
+//! Every kernel entry carries `threads` and `dtype` (always `"f64"`)
+//! fields, and entry *names* encode the thread tier (`_t4` suffix), so a
+//! regenerated report never gates a new tier against an old baseline kind
+//! — the name↔kind conventions are validated on read-back.
 //!
 //! After writing the report the binary reads it back through
 //! `serde_json::from_str` and validates the schema, so CI's smoke invocation
@@ -74,13 +66,10 @@
 //! whose measured speedup over its frozen baseline drops below 1.0 fails
 //! the run (the CI regression guard).
 //!
-//! Usage: `perf_report [--quick] [--check] [--out PATH] [--threads N]
-//! [--dtype f32|f64]` (default `BENCH_nn.json`). `--threads N` sets
-//! `RAYON_NUM_THREADS` before the pool spins up, so one flag controls the
-//! fan-out width; `--dtype` restricts which ladder rungs are measured
-//! (legacy kernels and epoch benches always run — the schema requires
-//! them). Malformed flag values exit with status 2 and a message, never a
-//! panic.
+//! Usage: `perf_report [--quick] [--check] [--out PATH] [--threads N]`
+//! (default `BENCH_nn.json`). `--threads N` sets `RAYON_NUM_THREADS` before
+//! the pool spins up, so one flag controls the fan-out width. Malformed
+//! flag values exit with status 2 and a message, never a panic.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -90,7 +79,7 @@ use nn::knn;
 use nn::matrix::reference;
 use nn::{
     bce_with_logits, gaussian_kl, standard_normal_matrix, Activation, Adam, AdamConfig,
-    CosineDecay, Layer, LinearLayer, LrSchedule, Matrix, Matrix32, Mlp, MlpConfig,
+    CosineDecay, Layer, LinearLayer, LrSchedule, Matrix, Mlp, MlpConfig,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -113,7 +102,7 @@ struct KernelBench {
     /// forced-sequential measurements record 1; unsuffixed dispatched
     /// entries record the pool width they could opportunistically use.
     threads: usize,
-    /// Element type of the new measurement: `"f64"` or `"f32"`.
+    /// Element type of the new measurement: always `"f64"`.
     dtype: String,
     new_ns: f64,
     baseline_ns: f64,
@@ -146,24 +135,6 @@ struct Report {
     tvae_epoch: EpochBench,
 }
 
-/// Which ladder rungs `--dtype` selects (legacy + epoch benches always run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DtypeFilter {
-    Both,
-    F64,
-    F32,
-}
-
-impl DtypeFilter {
-    fn includes_f64(self) -> bool {
-        self != DtypeFilter::F32
-    }
-
-    fn includes_f32(self) -> bool {
-        self != DtypeFilter::F64
-    }
-}
-
 /// Parsed command line.
 #[derive(Debug, PartialEq, Eq)]
 struct Options {
@@ -171,7 +142,6 @@ struct Options {
     check: bool,
     out: String,
     threads: Option<usize>,
-    dtype: DtypeFilter,
 }
 
 /// Panic-free argument parsing; every malformed input comes back as an
@@ -183,7 +153,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         check: false,
         out: "BENCH_nn.json".to_string(),
         threads: None,
-        dtype: DtypeFilter::Both,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -203,16 +172,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.threads = Some(value.parse::<usize>().ok().filter(|&t| t > 0).ok_or_else(
                     || format!("--threads expects a positive integer, got '{value}'"),
                 )?);
-            }
-            "--dtype" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--dtype requires a value (f32 or f64)".to_string())?;
-                opts.dtype = match value.as_str() {
-                    "f32" => DtypeFilter::F32,
-                    "f64" => DtypeFilter::F64,
-                    other => return Err(format!("--dtype expects f32 or f64, got '{other}'")),
-                };
             }
             other => return Err(format!("unknown argument '{other}'")),
         }
@@ -240,7 +199,6 @@ fn kernel_entry(name: &str, baseline_kind: &str, new_ns: f64, baseline_ns: f64) 
         name,
         baseline_kind,
         rayon::current_num_threads(),
-        "f64",
         new_ns,
         baseline_ns,
     )
@@ -250,7 +208,6 @@ fn kernel_entry_tiered(
     name: &str,
     baseline_kind: &str,
     threads: usize,
-    dtype: &str,
     new_ns: f64,
     baseline_ns: f64,
 ) -> KernelBench {
@@ -258,7 +215,7 @@ fn kernel_entry_tiered(
         name: name.to_string(),
         baseline_kind: baseline_kind.to_string(),
         threads,
-        dtype: dtype.to_string(),
+        dtype: "f64".to_string(),
         new_ns,
         baseline_ns,
         speedup: baseline_ns / new_ns.max(1e-9),
@@ -397,91 +354,36 @@ fn kernel_benches(quick: bool) -> Vec<KernelBench> {
 }
 
 /// The throughput-ladder rungs (schema v3): multi-threaded packed entries
-/// gated against their own sequential tier in the same process, and `f32`
-/// entries gated against the `f64` packed path. Every comparison is
-/// like-for-like by construction — the names say exactly which tier the
-/// entry measures.
-fn ladder_benches(quick: bool, dtype: DtypeFilter) -> Vec<KernelBench> {
+/// gated against their own sequential tier in the same process, so every
+/// comparison is like-for-like by construction. Empty on a one-executor
+/// pool.
+fn ladder_benches(quick: bool) -> Vec<KernelBench> {
     let (reps, inner) = if quick { (3, 1) } else { (5, 2) };
     let threads = rayon::current_num_threads();
+    if threads == 1 {
+        return Vec::new();
+    }
     let mut rng = StdRng::seed_from_u64(77);
     let mut entries = Vec::new();
-
     for &(m, k, n) in &[(512usize, 512usize, 512usize), (4096, 64, 256)] {
         let a = Matrix::randn(m, k, 1.0, &mut rng);
         let b = Matrix::randn(k, n, 1.0, &mut rng);
         // Own-tier sequential reference: the identical packed path, forced
         // sequential, measured in this very process.
-        let seq64_ns = time_ns(reps, inner, || {
+        let seq_ns = time_ns(reps, inner, || {
             std::hint::black_box(a.matmul_packed_with(&b, false));
         });
-        if dtype.includes_f64() && threads > 1 {
-            let par_ns = time_ns(reps, inner, || {
-                std::hint::black_box(a.matmul_packed_with(&b, true));
-            });
-            entries.push(kernel_entry_tiered(
-                &format!("matmul_packed_{m}x{k}x{n}_t{threads}"),
-                "seq_own_dtype",
-                threads,
-                "f64",
-                par_ns,
-                seq64_ns,
-            ));
-        }
-        if dtype.includes_f32() {
-            let a32 = Matrix32::from_f64(&a);
-            let b32 = Matrix32::from_f64(&b);
-            let seq32_ns = time_ns(reps, inner, || {
-                std::hint::black_box(a32.matmul_packed_with(&b32, false));
-            });
-            entries.push(kernel_entry_tiered(
-                &format!("matmul_packed_{m}x{k}x{n}_f32"),
-                "packed_f64",
-                1,
-                "f32",
-                seq32_ns,
-                seq64_ns,
-            ));
-            if threads > 1 {
-                let par32_ns = time_ns(reps, inner, || {
-                    std::hint::black_box(a32.matmul_packed_with(&b32, true));
-                });
-                entries.push(kernel_entry_tiered(
-                    &format!("matmul_packed_{m}x{k}x{n}_t{threads}_f32"),
-                    "seq_own_dtype",
-                    threads,
-                    "f32",
-                    par32_ns,
-                    seq32_ns,
-                ));
-            }
-        }
-    }
-
-    if dtype.includes_f32() {
-        // End-to-end f32 inference: a fitted-shape MLP down-converted once,
-        // then timed against the f64 forward pass on the same batch.
-        let (mreps, minner) = if quick { (5, 4) } else { (7, 8) };
-        let mlp = Mlp::new(&MlpConfig::relu(128, vec![256, 256], 64), &mut rng);
-        let mlp32 = mlp.to_f32();
-        let x = Matrix::randn(512, 128, 1.0, &mut rng);
-        let x32 = Matrix32::from_f64(&x);
-        let new_ns = time_ns(mreps, minner, || {
-            std::hint::black_box(mlp32.infer(&x32));
-        });
-        let base_ns = time_ns(mreps, minner, || {
-            std::hint::black_box(mlp.infer(&x));
+        let par_ns = time_ns(reps, inner, || {
+            std::hint::black_box(a.matmul_packed_with(&b, true));
         });
         entries.push(kernel_entry_tiered(
-            "mlp_infer_512x128x256x256x64_f32",
-            "mlp_infer_f64",
-            1,
-            "f32",
-            new_ns,
-            base_ns,
+            &format!("matmul_packed_{m}x{k}x{n}_t{threads}"),
+            "seq_own_dtype",
+            threads,
+            par_ns,
+            seq_ns,
         ));
     }
-
     entries
 }
 
@@ -1251,28 +1153,19 @@ fn tvae_epoch_bench(quick: bool) -> EpochBench {
 /// `Value` accessor chains) and check its invariants: a malformed or
 /// field-stripped document fails at the parse, and a structurally valid one
 /// must carry positive finite timings throughout.
-/// The explicit thread-count suffix of a ladder entry name (`_t4`,
-/// `_t4_f32`), if present.
+/// The explicit thread-count suffix of a ladder entry name (`_t4`), if
+/// present.
 fn name_thread_suffix(name: &str) -> Option<usize> {
-    let base = name.strip_suffix("_f32").unwrap_or(name);
-    let idx = base.rfind("_t")?;
-    base[idx + 2..].parse().ok()
+    let idx = name.rfind("_t")?;
+    name[idx + 2..].parse().ok()
 }
 
-/// Enforce the name↔field conventions that keep `--check` like-for-like:
-/// a `_f32` suffix if and only if `dtype == "f32"`; a `_tN` suffix if and
-/// only if the entry is gated against its own sequential tier
-/// (`seq_own_dtype`), with `N` equal to the recorded thread count. A
-/// regenerated report can therefore never compare a new tier's timing
-/// against a baseline of a different kind under the same name.
+/// Enforce the name↔field convention that keeps `--check` like-for-like:
+/// a `_tN` suffix if and only if the entry is gated against its own
+/// sequential tier (`seq_own_dtype`), with `N` equal to the recorded thread
+/// count. A regenerated report can therefore never compare a new tier's
+/// timing against a baseline of a different kind under the same name.
 fn check_name_conventions(entry: &KernelBench) -> Result<(), String> {
-    let is_f32_name = entry.name.ends_with("_f32");
-    if is_f32_name != (entry.dtype == "f32") {
-        return Err(format!(
-            "kernel '{}': name/dtype mismatch (dtype '{}')",
-            entry.name, entry.dtype
-        ));
-    }
     match name_thread_suffix(&entry.name) {
         Some(t) => {
             if entry.baseline_kind != "seq_own_dtype" {
@@ -1316,7 +1209,7 @@ fn validate_text(text: &str) -> Result<Report, String> {
         if entry.threads == 0 {
             return Err(format!("kernel '{}' has zero threads", entry.name));
         }
-        if entry.dtype != "f64" && entry.dtype != "f32" {
+        if entry.dtype != "f64" {
             return Err(format!(
                 "kernel '{}' has unknown dtype '{}'",
                 entry.name, entry.dtype
@@ -1773,7 +1666,6 @@ fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
         &format!("htcsim_throughput_queue_{transitions}"),
         "binary_heap",
         1,
-        "f64",
         new_ns,
         base_ns,
     ));
@@ -1809,7 +1701,6 @@ fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
         &format!("htcsim_throughput_sim_{n_jobs}"),
         "seed_sim_loop",
         1,
-        "f64",
         new_ns,
         base_ns,
     ));
@@ -1818,10 +1709,10 @@ fn htcsim_benches(quick: bool) -> Vec<KernelBench> {
 }
 
 /// Micro-batched serving throughput: 64 independent 4-row sample requests
-/// answered by one coalesced `sample_batch` pass (what the serve loop's
-/// batch scheduler issues; 256 total rows — a power of two, so padding adds
-/// nothing) against the same 64 requests answered by sequential `sample`
-/// calls (the unbatched serve loop). The paper-default TVAE decoder
+/// answered by one coalesced 256-row `sample_batch` pass (what the serve
+/// loop's batch scheduler issues) against the same 64 requests answered by
+/// sequential `sample` calls, i.e. one-spec batches (the unbatched serve
+/// loop). The paper-default TVAE decoder
 /// (latent 16 → 128 → 128 → table width) is wide enough that the coalesced
 /// pass crosses the packed-kernel shape split, while each 4-row unbatched
 /// call stays on the direct row kernels — the kernel-tier jump that
@@ -1856,7 +1747,6 @@ fn serve_batching_bench(quick: bool) -> KernelBench {
         "serve_batching_64x4",
         "unbatched_sample_calls",
         1,
-        "f64",
         new_ns,
         base_ns,
     )
@@ -1904,7 +1794,7 @@ fn main() {
             eprintln!("perf_report: {e}");
             eprintln!(
                 "usage: perf_report [--quick] [--check] [--out PATH] \
-                 [--threads N] [--dtype f32|f64]"
+                 [--threads N]"
             );
             std::process::exit(2);
         }
@@ -1925,7 +1815,7 @@ fn main() {
         rayon::current_num_threads(),
     );
     let mut kernels = kernel_benches(quick);
-    kernels.extend(ladder_benches(quick, opts.dtype));
+    kernels.extend(ladder_benches(quick));
     eprintln!("perf_report: timing htcsim calendar queue vs binary heap...");
     kernels.extend(htcsim_benches(quick));
     eprintln!("perf_report: timing micro-batched serving (64 x 4-row TVAE sample requests)...");
@@ -2033,7 +1923,6 @@ mod tests {
                 "matmul_64x64x64",
                 "seed_reference",
                 1,
-                "f64",
                 100.0,
                 250.0,
             )],
@@ -2091,8 +1980,8 @@ mod tests {
     #[test]
     fn kernel_regressions_flags_only_sub_one_speedups() {
         let kernels = vec![
-            kernel_entry_tiered("fast", "seed_reference", 1, "f64", 100.0, 250.0),
-            kernel_entry_tiered("slow", "seed_reference", 1, "f64", 300.0, 250.0),
+            kernel_entry_tiered("fast", "seed_reference", 1, 100.0, 250.0),
+            kernel_entry_tiered("slow", "seed_reference", 1, 300.0, 250.0),
         ];
         let offending = kernel_regressions(&kernels, 4);
         assert_eq!(offending.len(), 1);
@@ -2108,23 +1997,16 @@ mod tests {
                 "matmul_packed_512x512x512_t4",
                 "seq_own_dtype",
                 4,
-                "f64",
                 300.0,
                 250.0,
             ),
-            // A slow f32 rung is never exempt — it is a sequential tier.
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f32",
-                300.0,
-                250.0,
-            ),
+            // A slow entry against a frozen baseline is never exempt, even
+            // when it could use the whole pool.
+            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, 300.0, 250.0),
         ];
         let on_one_core = kernel_regressions(&kernels, 1);
         assert_eq!(on_one_core.len(), 1, "{on_one_core:?}");
-        assert!(on_one_core[0].contains("_f32"));
+        assert!(on_one_core[0].starts_with("matmul_packed_512x512x512 "));
         let on_many = kernel_regressions(&kernels, 8);
         assert_eq!(on_many.len(), 2, "{on_many:?}");
     }
@@ -2133,79 +2015,19 @@ mod tests {
     fn name_conventions_pin_tier_suffixes_to_fields() {
         // The committed-artifact shapes all pass.
         for entry in [
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "seq_own_dtype",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4_f32",
-                "seq_own_dtype",
-                4,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "mlp_infer_512x128x256x256x64_f32",
-                "mlp_infer_f64",
-                1,
-                "f32",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered("matmul_64x64x64", "seed_reference", 1, "f64", 1.0, 2.0),
-            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, "f64", 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "seq_own_dtype", 4, 1.0, 2.0),
+            kernel_entry_tiered("matmul_64x64x64", "seed_reference", 1, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512", "pr2_tiled", 4, 1.0, 2.0),
         ] {
             check_name_conventions(&entry).unwrap_or_else(|e| panic!("{e}"));
         }
-        // Mismatches are rejected: f32 name with f64 dtype, _tN against a
-        // frozen baseline, thread-count disagreement, and a seq_own_dtype
-        // entry hiding under an unsuffixed name.
+        // Mismatches are rejected: _tN against a frozen baseline,
+        // thread-count disagreement, and a seq_own_dtype entry hiding under
+        // an unsuffixed name.
         for bad in [
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_f32",
-                "packed_f64",
-                1,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "pr2_tiled",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512_t4",
-                "seq_own_dtype",
-                2,
-                "f64",
-                1.0,
-                2.0,
-            ),
-            kernel_entry_tiered(
-                "matmul_packed_512x512x512",
-                "seq_own_dtype",
-                4,
-                "f64",
-                1.0,
-                2.0,
-            ),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "pr2_tiled", 4, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512_t4", "seq_own_dtype", 2, 1.0, 2.0),
+            kernel_entry_tiered("matmul_packed_512x512x512", "seq_own_dtype", 4, 1.0, 2.0),
         ] {
             assert!(check_name_conventions(&bad).is_err(), "{}", bad.name);
         }
@@ -2215,11 +2037,10 @@ mod tests {
     fn thread_suffix_parses_ladder_names_only() {
         assert_eq!(name_thread_suffix("matmul_packed_512x512x512_t4"), Some(4));
         assert_eq!(
-            name_thread_suffix("matmul_packed_4096x64x256_t16_f32"),
+            name_thread_suffix("matmul_packed_4096x64x256_t16"),
             Some(16)
         );
         assert_eq!(name_thread_suffix("matmul_packed_512x512x512"), None);
-        assert_eq!(name_thread_suffix("matmul_packed_512x512x512_f32"), None);
         assert_eq!(name_thread_suffix("at_b_256x128_x_256x64"), None);
         assert_eq!(name_thread_suffix("transpose_512x384"), None);
     }
@@ -2234,21 +2055,16 @@ mod tests {
             "x.json",
             "--threads",
             "4",
-            "--dtype",
-            "f32",
         ]))
         .unwrap();
         assert!(opts.quick && opts.check);
         assert_eq!(opts.out, "x.json");
         assert_eq!(opts.threads, Some(4));
-        assert_eq!(opts.dtype, DtypeFilter::F32);
         // Defaults.
         let opts = parse_args(&[]).unwrap();
         assert!(!opts.quick && !opts.check);
         assert_eq!(opts.out, "BENCH_nn.json");
         assert_eq!(opts.threads, None);
-        assert_eq!(opts.dtype, DtypeFilter::Both);
-        assert!(opts.dtype.includes_f32() && opts.dtype.includes_f64());
     }
 
     #[test]
@@ -2259,8 +2075,6 @@ mod tests {
             &["--threads", "zero"][..],
             &["--threads", "0"][..],
             &["--threads", "-2"][..],
-            &["--dtype"][..],
-            &["--dtype", "f16"][..],
             &["--out"][..],
             &["--frobnicate"][..],
         ] {

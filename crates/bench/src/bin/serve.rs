@@ -29,8 +29,8 @@
 //! stragglers), groups the drained `sample` requests by registry key, and
 //! answers each group with one coalesced generator forward pass through
 //! `Checkpoint::sample_batch` — per-request rows stacked into a single
-//! power-of-two-padded matrix walk through the packed kernels, then split
-//! back into per-request responses. Batching is a pure throughput
+//! matrix walk through the packed kernels, then split back into
+//! per-request responses. Batching is a pure throughput
 //! optimisation: every response (rows, digest, per-request `sample_seed`
 //! determinism) is byte-identical to serving the same requests one at a
 //! time, and `--max-batch-rows` bounds how many rows one coalesced pass
@@ -320,11 +320,10 @@ fn select(entries: &[Checkpoint], request: &Request) -> Result<usize, (String, S
     }
 }
 
-/// Handle one request against the registry (deadline/panic/shed handling
-/// live in the caller). Only this part runs under `catch_unwind`. The
-/// `sample` arm goes through `sample_batch` with a batch of one, so the
-/// batched scheduler and this direct path share a single sampling code
-/// path.
+/// Answer one non-`sample` request against the registry (deadline/panic/shed
+/// handling live in the caller, and `sample` requests go to the batch
+/// scheduler in [`process_batch`]). Only this part runs under
+/// `catch_unwind`.
 fn handle(registry: &CheckpointRegistry, request: &Request) -> Response {
     match request.op.as_str() {
         "health" => Response {
@@ -352,20 +351,6 @@ fn handle(registry: &CheckpointRegistry, request: &Request) -> Response {
             digest: None,
             models: Some(registry.entries.iter().map(Checkpoint::key).collect()),
             quarantined: None,
-        },
-        "sample" => match select(&registry.entries, request) {
-            Err((status, detail)) => Response::failure(request.id, &status, detail),
-            Ok(entry) => {
-                let checkpoint = &registry.entries[entry];
-                let rows = request.rows.unwrap_or(32);
-                let seed = request
-                    .sample_seed
-                    .unwrap_or_else(|| checkpoint.seed.wrapping_add(1));
-                match checkpoint.sample_batch(&[SampleSpec::new(rows, seed)]) {
-                    Err(e) => Response::failure(request.id, "error", e.to_string()),
-                    Ok(tables) => sample_success(request.id, checkpoint.key(), &tables[0]),
-                }
-            }
         },
         other => Response::failure(
             request.id,
@@ -1015,9 +1000,13 @@ mod tests {
 
         // The registry's only checkpoint is unfitted, so sampling fails as
         // a typed 'error' response, not a crash.
-        let response = handle(&registry, &request("sample"));
-        assert!(!response.ok);
-        assert_eq!(response.status, "error");
+        let responses = process_batch(
+            &registry,
+            &[(request("sample"), Instant::now())],
+            &policy(None, ServeFaultPlan::none()),
+        );
+        assert!(!responses[0].ok);
+        assert_eq!(responses[0].status, "error");
 
         let response = handle(&registry, &request("health"));
         assert!(response.ok);
@@ -1071,11 +1060,8 @@ mod tests {
         assert_eq!(responses[2].status, "ok");
         assert_eq!(responses[1].rows, Some(6));
         assert!(responses[1].digest.is_some());
-        // Identical (rows, sample_seed) requests are byte-identical, and
-        // both match the direct single-request path.
+        // Identical (rows, sample_seed) requests are byte-identical.
         assert_eq!(responses[1].digest, responses[2].digest);
-        let direct = handle(&registry, &sample_request(1, 6, 9));
-        assert_eq!(direct.digest, responses[1].digest);
 
         // The row cap answers a typed bad_request naming the limit.
         assert_eq!(responses[3].status, "bad_request");

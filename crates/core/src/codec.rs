@@ -10,7 +10,7 @@ use nn::Matrix;
 use serde::{Deserialize, Serialize};
 use tabular::{Column, FeatureKind, NumericTransform, OneHotEncoder, QuantileTransformer, Table};
 
-use crate::traits::SurrogateError;
+use crate::traits::{SampleSpec, SurrogateError};
 
 /// Where one original column lives inside the encoded matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -196,6 +196,25 @@ impl TableCodec {
             }
         }
         Ok(table)
+    }
+
+    /// Decode a stacked sampling batch into one table per spec, in spec
+    /// order: spec `i` owns the `specs[i].rows` rows that follow those of
+    /// the specs before it.
+    pub(crate) fn decode_batch(
+        &self,
+        stacked: &Matrix,
+        specs: &[SampleSpec],
+    ) -> Result<Vec<Table>, SurrogateError> {
+        let mut offset = 0;
+        specs
+            .iter()
+            .map(|spec| {
+                let block = stacked.slice_rows(offset, offset + spec.rows);
+                offset += spec.rows;
+                self.decode(&block)
+            })
+            .collect()
     }
 
     /// Pairwise squared Euclidean distance between two encoded rows.

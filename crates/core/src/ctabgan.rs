@@ -351,45 +351,6 @@ impl TabularGenerator for CtabGan {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
-        let generator = self
-            .generator
-            .as_ref()
-            .expect("generator set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let cond = self.sample_condition(codec, n, &mut rng);
-        let raw = generator.infer(&z.hconcat(&cond));
-        let activated = mixed_activation(codec.spans(), &raw);
-        codec.decode(&activated)
-    }
-
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
-        let generator = self
-            .generator
-            .as_ref()
-            .expect("generator set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Identical noise/condition draws to the f64 path (assembled in f64,
-        // rounded once); the generator forward pass runs in f32. The mixed
-        // activation and decode stay in f64 — they are cheap and reuse the
-        // span-aware softmax unchanged.
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let cond = self.sample_condition(codec, n, &mut rng);
-        let g_in = nn::Matrix32::from_f64(&z.hconcat(&cond));
-        let raw = generator.to_f32().infer(&g_in);
-        let activated = mixed_activation(codec.spans(), &raw.to_f64());
-        codec.decode(&activated)
-    }
-
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
         let codec = self
             .codec
@@ -399,18 +360,14 @@ impl TabularGenerator for CtabGan {
             .generator
             .as_ref()
             .expect("generator set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Per spec, draw noise then condition from that spec's own RNG — the
-        // exact draw order of a standalone `sample` — and paste the
-        // `[z | cond]` block into one 2ᵏ-row-padded generator input, so the
+        // Per spec, draw noise then condition from that spec's own RNG and
+        // paste the `[z | cond]` block into one generator input, so the
         // whole batch is a single packed forward pass. The mixed activation
         // (per-row block softmax) and the decode are row-wise, so splitting
         // after activation reproduces each spec's bytes.
         let latent = self.config.latent_dim;
         let mut g_in = Matrix::zeros(
-            SampleSpec::padded_rows(specs),
+            SampleSpec::total_rows(specs),
             latent + self.cond_width(codec),
         );
         let mut offset = 0;
@@ -432,13 +389,7 @@ impl TabularGenerator for CtabGan {
         let mut scratch = Matrix::default();
         generator.infer_into(&g_in, &mut raw, &mut scratch);
         let activated = mixed_activation(codec.spans(), &raw);
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&activated.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        codec.decode_batch(&activated, specs)
     }
 }
 
@@ -446,6 +397,22 @@ impl TabularGenerator for CtabGan {
 mod tests {
     use super::*;
     use tabular::Column;
+
+    /// The unbatched sampling body, frozen as the oracle for
+    /// [`CtabGan::sample_batch`].
+    fn sample_reference(gan: &CtabGan, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        let codec = gan
+            .codec
+            .as_ref()
+            .ok_or(SurrogateError::NotFitted("CTABGAN+"))?;
+        let generator = gan.generator.as_ref().expect("generator set when codec is");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let z = standard_normal_matrix(n, gan.config.latent_dim, &mut rng);
+        let cond = gan.sample_condition(codec, n, &mut rng);
+        let raw = generator.infer(&z.hconcat(&cond));
+        let activated = mixed_activation(codec.spans(), &raw);
+        codec.decode(&activated)
+    }
 
     fn toy(n: usize, seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -532,29 +499,46 @@ mod tests {
     fn batched_sampling_is_byte_identical_to_unbatched() {
         // Conditional sampling interleaves two draw kinds (noise, then the
         // conditional one-hots) on one RNG stream per spec — the batched
-        // path must reproduce that order exactly.
+        // path must reproduce that order exactly, with conditioning on and
+        // off (zero-width condition block).
         let train = toy(150, 9);
-        let mut gan = CtabGan::new(CtabGanConfig::fast());
-        gan.fit(&train).unwrap();
-        let specs = [
+        let small = [
             SampleSpec::new(13, 2),
             SampleSpec::new(6, 40),
+            SampleSpec::new(0, 8),
             SampleSpec::new(13, 2),
         ];
-        let batched = gan.sample_batch(&specs).unwrap();
-        for (spec, table) in specs.iter().zip(&batched) {
-            assert_eq!(table, &gan.sample(spec.rows, spec.seed).unwrap());
-        }
-
-        // And with conditioning disabled (zero-width condition block).
-        let mut plain = CtabGan::new(CtabGanConfig {
-            conditional: false,
-            ..CtabGanConfig::fast()
-        });
-        plain.fit(&train).unwrap();
-        let batched = plain.sample_batch(&specs).unwrap();
-        for (spec, table) in specs.iter().zip(&batched) {
-            assert_eq!(table, &plain.sample(spec.rows, spec.seed).unwrap());
+        // 1,500 rows (not a power of two): the 96×96 generator product
+        // takes the parallel packed path.
+        let large = [SampleSpec::new(1_001, 6), SampleSpec::new(499, 12)];
+        for (config, specs) in [
+            (CtabGanConfig::fast(), &small[..]),
+            (
+                CtabGanConfig {
+                    conditional: false,
+                    ..CtabGanConfig::fast()
+                },
+                &small[..],
+            ),
+            (
+                CtabGanConfig {
+                    generator_hidden: vec![96, 96],
+                    ..CtabGanConfig::fast()
+                },
+                &large[..],
+            ),
+        ] {
+            let mut gan = CtabGan::new(config);
+            gan.fit(&train).unwrap();
+            let batched = gan.sample_batch(specs).unwrap();
+            assert_eq!(batched.len(), specs.len());
+            for (spec, table) in specs.iter().zip(&batched) {
+                assert_eq!(table.n_rows(), spec.rows);
+                assert_eq!(
+                    table,
+                    &sample_reference(&gan, spec.rows, spec.seed).unwrap()
+                );
+            }
         }
     }
 

@@ -62,8 +62,8 @@ pub use fault::{
     FitControl, ServeFaultKind, ServeFaultPlan,
 };
 pub use pipeline::{
-    build_model, build_payload, fit_and_sample, fit_and_sample_batch, fit_and_sample_controlled,
-    ModelKind, TrainingBudget,
+    build_model, build_payload, fit_and_sample, fit_and_sample_controlled, ModelKind,
+    TrainingBudget,
 };
 pub use smote::{SmoteConfig, SmoteSampler};
 pub use sweep::{

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use tabular::Table;
 
 use crate::codec::TableCodec;
-use crate::traits::{SurrogateError, TabularGenerator};
+use crate::traits::{SampleSpec, SurrogateError, TabularGenerator};
 
 /// SMOTE hyper-parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -134,27 +134,32 @@ impl TabularGenerator for SmoteSampler {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
         let codec = self
             .codec
             .as_ref()
             .ok_or(SurrogateError::NotFitted("SMOTE"))?;
         let anchors = self.anchors.as_ref().expect("anchors set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
         let width = codec.encoded_width();
-        let mut out = Matrix::zeros(n, width);
-        for r in 0..n {
-            let base = rng.gen_range(0..anchors.rows());
-            let neighbor_list = &self.neighbors[base];
-            let neighbor = neighbor_list[rng.gen_range(0..neighbor_list.len())];
-            let lambda: f64 = rng.gen_range(0.0..1.0);
-            let base_row = anchors.row(base);
-            let nb_row = anchors.row(neighbor);
-            for c in 0..width {
-                out.set(r, c, base_row[c] + lambda * (nb_row[c] - base_row[c]));
-            }
-        }
-        codec.decode(&out)
+        specs
+            .iter()
+            .map(|&SampleSpec { rows: n, seed }| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut out = Matrix::zeros(n, width);
+                for r in 0..n {
+                    let base = rng.gen_range(0..anchors.rows());
+                    let neighbor_list = &self.neighbors[base];
+                    let neighbor = neighbor_list[rng.gen_range(0..neighbor_list.len())];
+                    let lambda: f64 = rng.gen_range(0.0..1.0);
+                    let base_row = anchors.row(base);
+                    let nb_row = anchors.row(neighbor);
+                    for c in 0..width {
+                        out.set(r, c, base_row[c] + lambda * (nb_row[c] - base_row[c]));
+                    }
+                }
+                codec.decode(&out)
+            })
+            .collect()
     }
 }
 

@@ -146,23 +146,12 @@ impl TabDdpm {
 
     /// Write the two timestep-embedding features (normalised t and a
     /// sinusoidal phase) into `dst`. The single definition shared by the
-    /// fused training loop and [`TabDdpm::denoiser_input`], so training and
-    /// sampling can never feed the denoiser different embeddings.
+    /// fused training loop and sampling, so the two can never feed the
+    /// denoiser different embeddings.
     #[inline]
     fn write_time_embedding(t_frac: f64, dst: &mut [f64]) {
         dst[0] = t_frac;
         dst[1] = (t_frac * std::f64::consts::PI).sin();
-    }
-
-    /// Build the denoiser input: the noisy row concatenated with two timestep
-    /// embedding features.
-    fn denoiser_input(x_noisy: &Matrix, t_frac: &[f64]) -> Matrix {
-        let rows = x_noisy.rows();
-        let mut t_cols = Matrix::zeros(rows, 2);
-        for (r, &t) in t_frac.iter().enumerate().take(rows) {
-            Self::write_time_embedding(t, t_cols.row_mut(r));
-        }
-        x_noisy.hconcat(&t_cols)
     }
 }
 
@@ -266,127 +255,12 @@ impl TabularGenerator for TabDdpm {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
-        let denoiser = self.denoiser.as_ref().expect("denoiser set when codec is");
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        // Reconstruct the per-step α from ᾱ.
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        let mut x = standard_normal_matrix(n, width, &mut rng);
-        for t in (0..timesteps).rev() {
-            let t_frac = vec![(t + 1) as f64 / timesteps as f64; n];
-            let input = Self::denoiser_input(&x, &t_frac);
-            let eps_hat = denoiser.infer(&input);
-
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
-            // Posterior mean.
-            let mut mean = Matrix::zeros(n, width);
-            for r in 0..n {
-                for c in 0..width {
-                    mean.set(
-                        r,
-                        c,
-                        (x.get(r, c) - coef * eps_hat.get(r, c)) / alpha.sqrt(),
-                    );
-                }
-            }
-            if t > 0 {
-                let sigma = ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt();
-                let z = standard_normal_matrix(n, width, &mut rng);
-                x = mean.add(&z.scale(sigma));
-            } else {
-                x = mean;
-            }
-        }
-        codec.decode(&x)
-    }
-
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
-        // Down-convert the fitted denoiser once; every reverse step then
-        // runs its forward pass on the f32 packed kernels (double lanes).
-        let denoiser = self
-            .denoiser
-            .as_ref()
-            .expect("denoiser set when codec is")
-            .to_f32();
-        let width = codec.encoded_width();
-        let timesteps = self.config.timesteps;
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        let mut alphas = Vec::with_capacity(timesteps);
-        for t in 0..timesteps {
-            let prev = if t == 0 { 1.0 } else { self.alpha_bar[t - 1] };
-            alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
-        }
-
-        // Same RNG stream as the f64 path — every draw happens in f64 and is
-        // rounded once — so the two tiers differ only by arithmetic
-        // precision, never by consuming different variates.
-        let mut x = nn::Matrix32::from_f64(&standard_normal_matrix(n, width, &mut rng));
-        let mut input = nn::Matrix32::zeros(n, width + 2);
-        let mut eps_hat = nn::Matrix32::zeros(0, 0);
-        let mut scratch = nn::Matrix32::zeros(0, 0);
-        for t in (0..timesteps).rev() {
-            let mut emb = [0.0f64; 2];
-            Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
-            for r in 0..n {
-                let row = input.row_mut(r);
-                row[..width].copy_from_slice(x.row(r));
-                row[width] = emb[0] as f32;
-                row[width + 1] = emb[1] as f32;
-            }
-            denoiser.infer_into(&input, &mut eps_hat, &mut scratch);
-
-            let alpha = alphas[t];
-            let alpha_bar = self.alpha_bar[t];
-            // Scalar coefficients in f64 (exactly the f64 path's values),
-            // rounded once; the per-element update runs in f32.
-            let coef = ((1.0 - alpha) / (1.0 - alpha_bar).sqrt()) as f32;
-            let inv_sqrt_alpha = (1.0 / alpha.sqrt()) as f32;
-            for (xv, &e) in x.data_mut().iter_mut().zip(eps_hat.data()) {
-                *xv = (*xv - coef * e) * inv_sqrt_alpha;
-            }
-            if t > 0 {
-                let sigma = ((1.0 - alphas[t]) * (1.0 - self.alpha_bar[t - 1]) / (1.0 - alpha_bar))
-                    .max(0.0)
-                    .sqrt() as f32;
-                let z = standard_normal_matrix(n, width, &mut rng);
-                for (xv, &zv) in x.data_mut().iter_mut().zip(z.data()) {
-                    *xv += sigma * zv as f32;
-                }
-            }
-        }
-        codec.decode(&x.to_f64())
-    }
-
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
         let codec = self
             .codec
             .as_ref()
             .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
         let denoiser = self.denoiser.as_ref().expect("denoiser set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
         let width = codec.encoded_width();
         let timesteps = self.config.timesteps;
 
@@ -396,36 +270,32 @@ impl TabularGenerator for TabDdpm {
             alphas.push((self.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
         }
 
-        // One RNG stream per spec, drawn in a standalone `sample`'s order:
-        // the initial latents up front, then that spec's ancestral noise
-        // block at every reverse step. All specs share one 2ᵏ-row-padded
-        // state matrix, so each of the `T` denoiser forward passes is a
-        // single packed-kernel call for the whole batch, ping-ponging one
-        // pair of reused buffers instead of allocating per step. The
-        // posterior-mean update is per-element with the same
-        // subtract/multiply/divide chain as the unbatched path, so every
-        // spec's rows stay bit-identical to sampling it alone; the padding
-        // rows (zero noise, never reseeded) are dead weight the final split
-        // discards.
+        // One RNG stream per spec: the initial latents up front, then that
+        // spec's ancestral noise block at every reverse step. All specs
+        // share one stacked state matrix, so each of the `T` denoiser
+        // forward passes is a single packed-kernel call for the whole
+        // batch, ping-ponging one pair of reused buffers instead of
+        // allocating per step. The posterior-mean update is per-element, so
+        // every spec's rows stay bit-identical to sampling it alone.
         let mut rngs: Vec<StdRng> = specs
             .iter()
             .map(|s| StdRng::seed_from_u64(s.seed))
             .collect();
-        let mut x = Matrix::zeros(SampleSpec::padded_rows(specs), width);
+        let rows = SampleSpec::total_rows(specs);
+        let mut x = Matrix::zeros(rows, width);
         let mut offset = 0;
         for (spec, rng) in specs.iter().zip(&mut rngs) {
             x.paste(offset, 0, &standard_normal_matrix(spec.rows, width, rng));
             offset += spec.rows;
         }
 
-        let padded = x.rows();
-        let mut input = Matrix::zeros(padded, width + 2);
+        let mut input = Matrix::zeros(rows, width + 2);
         let mut eps_hat = Matrix::default();
         let mut scratch = Matrix::default();
         for t in (0..timesteps).rev() {
             let mut emb = [0.0f64; 2];
             Self::write_time_embedding((t + 1) as f64 / timesteps as f64, &mut emb);
-            for r in 0..padded {
+            for r in 0..rows {
                 let row = input.row_mut(r);
                 row[..width].copy_from_slice(x.row(r));
                 row[width..].copy_from_slice(&emb);
@@ -456,13 +326,7 @@ impl TabularGenerator for TabDdpm {
             }
         }
 
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&x.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        codec.decode_batch(&x, specs)
     }
 }
 
@@ -470,6 +334,70 @@ impl TabularGenerator for TabDdpm {
 mod tests {
     use super::*;
     use tabular::Column;
+
+    /// Build the denoiser input: the noisy row concatenated with two timestep
+    /// embedding features.
+    fn denoiser_input(x_noisy: &Matrix, t_frac: &[f64]) -> Matrix {
+        let rows = x_noisy.rows();
+        let mut t_cols = Matrix::zeros(rows, 2);
+        for (r, &t) in t_frac.iter().enumerate().take(rows) {
+            TabDdpm::write_time_embedding(t, t_cols.row_mut(r));
+        }
+        x_noisy.hconcat(&t_cols)
+    }
+
+    /// The unbatched sampling body, frozen as the oracle for
+    /// [`TabDdpm::sample_batch`].
+    fn sample_reference(model: &TabDdpm, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        let codec = model
+            .codec
+            .as_ref()
+            .ok_or(SurrogateError::NotFitted("TabDDPM"))?;
+        let denoiser = model.denoiser.as_ref().expect("denoiser set when codec is");
+        let width = codec.encoded_width();
+        let timesteps = model.config.timesteps;
+        let mut rng = StdRng::seed_from_u64(seed);
+
+        // Reconstruct the per-step α from ᾱ.
+        let mut alphas = Vec::with_capacity(timesteps);
+        for t in 0..timesteps {
+            let prev = if t == 0 { 1.0 } else { model.alpha_bar[t - 1] };
+            alphas.push((model.alpha_bar[t] / prev).clamp(1e-5, 0.9999));
+        }
+
+        let mut x = standard_normal_matrix(n, width, &mut rng);
+        for t in (0..timesteps).rev() {
+            let t_frac = vec![(t + 1) as f64 / timesteps as f64; n];
+            let input = denoiser_input(&x, &t_frac);
+            let eps_hat = denoiser.infer(&input);
+
+            let alpha = alphas[t];
+            let alpha_bar = model.alpha_bar[t];
+            let coef = (1.0 - alpha) / (1.0 - alpha_bar).sqrt();
+            // Posterior mean.
+            let mut mean = Matrix::zeros(n, width);
+            for r in 0..n {
+                for c in 0..width {
+                    mean.set(
+                        r,
+                        c,
+                        (x.get(r, c) - coef * eps_hat.get(r, c)) / alpha.sqrt(),
+                    );
+                }
+            }
+            if t > 0 {
+                let sigma = ((1.0 - alphas[t]) * (1.0 - model.alpha_bar[t - 1])
+                    / (1.0 - alpha_bar))
+                    .max(0.0)
+                    .sqrt();
+                let z = standard_normal_matrix(n, width, &mut rng);
+                x = mean.add(&z.scale(sigma));
+            } else {
+                x = mean;
+            }
+        }
+        codec.decode(&x)
+    }
 
     fn toy(n: usize, seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -563,17 +491,34 @@ mod tests {
         // reverse steps interleaves a shared batched forward pass with
         // per-spec ancestral noise draws.
         let train = toy(150, 11);
-        let mut model = TabDdpm::new(TabDdpmConfig::fast());
-        model.fit(&train).unwrap();
-        let specs = [
+        let small = [
             SampleSpec::new(5, 21),
             SampleSpec::new(12, 4),
+            SampleSpec::new(0, 9),
             SampleSpec::new(5, 21),
         ];
-        let batched = model.sample_batch(&specs).unwrap();
-        assert_eq!(batched.len(), specs.len());
-        for (spec, table) in specs.iter().zip(&batched) {
-            assert_eq!(table, &model.sample(spec.rows, spec.seed).unwrap());
+        // 1,500 rows (not a power of two): the 96×96 denoiser product
+        // takes the parallel packed path at every step.
+        let large = [SampleSpec::new(1_001, 6), SampleSpec::new(499, 12)];
+        for (hidden, specs) in [
+            (TabDdpmConfig::fast().hidden, &small[..]),
+            (vec![96, 96], &large[..]),
+        ] {
+            let mut model = TabDdpm::new(TabDdpmConfig {
+                hidden,
+                ..TabDdpmConfig::fast()
+            });
+            model.fit(&train).unwrap();
+            let batched = model.sample_batch(specs).unwrap();
+            assert_eq!(batched.len(), specs.len());
+            for (spec, table) in specs.iter().zip(&batched) {
+                assert_eq!(table.n_rows(), spec.rows);
+                assert_eq!(
+                    table,
+                    &sample_reference(&model, spec.rows, spec.seed).unwrap()
+                );
+            }
+            assert!(model.sample_batch(&[]).unwrap().is_empty());
         }
     }
 

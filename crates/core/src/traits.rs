@@ -66,9 +66,8 @@ impl From<TabularError> for SurrogateError {
 /// One sampling request inside a [`TabularGenerator::sample_batch`] call:
 /// how many rows to draw and under which seed.
 ///
-/// Each spec is its own deterministic RNG stream — batching specs together
-/// never changes any spec's output relative to a standalone
-/// [`TabularGenerator::sample`] call with the same `(rows, seed)`.
+/// Each spec is its own deterministic RNG stream, so a spec's output never
+/// depends on the other specs it is batched with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleSpec {
     /// Synthetic rows to draw for this request.
@@ -83,19 +82,10 @@ impl SampleSpec {
         Self { rows, seed }
     }
 
-    /// Total rows across a batch of specs.
+    /// Total rows across a batch of specs: the height of the stacked matrix
+    /// the MLP-backed generators run their coalesced forward passes over.
     pub fn total_rows(specs: &[SampleSpec]) -> usize {
         specs.iter().map(|s| s.rows).sum()
-    }
-
-    /// Rows of the `2ᵏ`-padded stacked batch the MLP-backed generators run
-    /// their coalesced forward passes over: the next power of two at or
-    /// above the total (and at least 1), so the packed kernels always see
-    /// power-of-two row blocks. Padding rows are zeros, computed and then
-    /// discarded — row-independent kernels make them invisible to every
-    /// real row.
-    pub fn padded_rows(specs: &[SampleSpec]) -> usize {
-        Self::total_rows(specs).next_power_of_two()
     }
 }
 
@@ -127,39 +117,30 @@ pub trait TabularGenerator {
         self.fit(train)
     }
 
-    /// Sample `n` synthetic rows with the same schema as the training table.
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError>;
-
-    /// Sample `n` rows on the reduced-precision `f32` inference tier.
-    ///
-    /// Models whose sampling path is dominated by MLP inference override
-    /// this to run the network forward passes in `f32` (double the SIMD
-    /// lanes of the packed kernels), drawing the *same* RNG stream as
-    /// [`TabularGenerator::sample`] so the two paths differ only by
-    /// precision. Results are still fully deterministic given the seed, but
-    /// are **not** bit-identical to the `f64` path — the end-to-end tests
-    /// bound the distributional deltas (Wasserstein/JSD) instead. The
-    /// default falls back to the `f64` path, so every generator supports
-    /// the call.
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        self.sample(n, seed)
-    }
-
     /// Sample several independent requests in one call, one output table per
-    /// spec, in spec order.
+    /// spec, in spec order, each with the same schema as the training table.
+    /// This is the one sampling method a generator implements.
     ///
-    /// The contract is **byte-identity**: `sample_batch(specs)[i]` equals
-    /// `sample(specs[i].rows, specs[i].seed)` exactly, for every spec and
-    /// every batch composition. MLP-backed generators override this to draw
-    /// each spec's noise from its own RNG stream, stack the per-spec blocks
-    /// into one `2ᵏ`-row-padded matrix, and run a *single* packed-kernel
-    /// forward pass per network step (reusing one packed buffer across the
-    /// batch) before splitting the rows back out — the serving loop's
-    /// micro-batching rides on this. Identity holds because every kernel on
-    /// the path computes each output row from its input row alone, with a
-    /// row-count-independent reduction order. The default handles the specs
-    /// sequentially, which satisfies the contract trivially.
-    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
-        specs.iter().map(|s| self.sample(s.rows, s.seed)).collect()
+    /// The contract is **batch-composition independence**:
+    /// `sample_batch(specs)[i]` is byte-identical for every batch that
+    /// contains `specs[i]`, whatever the other specs and their order, and so
+    /// equals [`TabularGenerator::sample`]`(specs[i].rows, specs[i].seed)`.
+    /// MLP-backed generators draw each spec's noise from its own RNG stream,
+    /// stack the per-spec blocks into one matrix of exactly
+    /// [`SampleSpec::total_rows`] rows, and run a *single* packed-kernel
+    /// forward pass per network step before splitting the rows back out —
+    /// the serving loop's micro-batching rides on this. Independence holds
+    /// because every kernel on the path computes each output row from its
+    /// input row alone, with a row-count-independent reduction order. That
+    /// is exact on the bit-exact SIMD tiers (the default); the opt-in fused
+    /// tiers round the edge rows of a packed product without the fused
+    /// multiply-add, so there a row's last bits can depend on its position
+    /// in the batch.
+    fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError>;
+
+    /// Sample `n` synthetic rows: a batch of one spec.
+    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        let mut tables = self.sample_batch(&[SampleSpec::new(n, seed)])?;
+        Ok(tables.pop().expect("sample_batch answers every spec"))
     }
 }

@@ -208,68 +208,32 @@ impl TabularGenerator for Tvae {
         Ok(())
     }
 
-    fn sample(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TVAE"))?;
-        let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let z = standard_normal_matrix(n, self.config.latent_dim, &mut rng);
-        let raw = decoder.infer(&z);
-        codec.decode(&raw)
-    }
-
-    fn sample_f32(&self, n: usize, seed: u64) -> Result<Table, SurrogateError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or(SurrogateError::NotFitted("TVAE"))?;
-        let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Same latent draws as the f64 path, rounded once; the decoder
-        // forward pass — the whole cost of TVAE sampling — runs in f32.
-        let z =
-            nn::Matrix32::from_f64(&standard_normal_matrix(n, self.config.latent_dim, &mut rng));
-        let raw = decoder.to_f32().infer(&z);
-        codec.decode(&raw.to_f64())
-    }
-
     fn sample_batch(&self, specs: &[SampleSpec]) -> Result<Vec<Table>, SurrogateError> {
         let codec = self
             .codec
             .as_ref()
             .ok_or(SurrogateError::NotFitted("TVAE"))?;
         let decoder = self.decoder.as_ref().expect("decoder set when codec is");
-        if specs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Each spec's latents come from its own RNG stream — exactly the
-        // draws a standalone `sample(rows, seed)` makes — stacked into one
-        // 2ᵏ-row-padded block so the decoder runs a single packed forward
-        // pass for the whole batch. Row-independent kernels make the
-        // stacking (and the zero padding rows) invisible to every spec.
-        let mut z = Matrix::zeros(SampleSpec::padded_rows(specs), self.config.latent_dim);
+        // Each spec's latents come from its own RNG stream, stacked into one
+        // block so the decoder runs a single packed forward pass for the
+        // whole batch. Row-independent kernels make the stacking invisible
+        // to every spec.
+        let latent = self.config.latent_dim;
+        let mut z = Matrix::zeros(SampleSpec::total_rows(specs), latent);
         let mut offset = 0;
         for spec in specs {
             let mut rng = StdRng::seed_from_u64(spec.seed);
             z.paste(
                 offset,
                 0,
-                &standard_normal_matrix(spec.rows, self.config.latent_dim, &mut rng),
+                &standard_normal_matrix(spec.rows, latent, &mut rng),
             );
             offset += spec.rows;
         }
         let mut raw = Matrix::default();
         let mut scratch = Matrix::default();
         decoder.infer_into(&z, &mut raw, &mut scratch);
-        let mut tables = Vec::with_capacity(specs.len());
-        let mut offset = 0;
-        for spec in specs {
-            tables.push(codec.decode(&raw.slice_rows(offset, offset + spec.rows))?);
-            offset += spec.rows;
-        }
-        Ok(tables)
+        codec.decode_batch(&raw, specs)
     }
 }
 
@@ -278,6 +242,20 @@ mod tests {
     use super::*;
     use rand::Rng;
     use tabular::Column;
+
+    /// The unbatched sampling body, frozen as the oracle for
+    /// [`Tvae::sample_batch`].
+    fn sample_reference(model: &Tvae, n: usize, seed: u64) -> Result<Table, SurrogateError> {
+        let codec = model
+            .codec
+            .as_ref()
+            .ok_or(SurrogateError::NotFitted("TVAE"))?;
+        let decoder = model.decoder.as_ref().expect("decoder set when codec is");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let z = standard_normal_matrix(n, model.config.latent_dim, &mut rng);
+        let raw = decoder.infer(&z);
+        codec.decode(&raw)
+    }
 
     fn toy(n: usize, seed: u64) -> Table {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -347,20 +325,36 @@ mod tests {
     #[test]
     fn batched_sampling_is_byte_identical_to_unbatched() {
         let train = toy(150, 8);
-        let mut model = Tvae::new(TvaeConfig::fast());
-        model.fit(&train).unwrap();
         // Mixed row counts and seeds, including a duplicate seed and a
-        // total (7+9+7 = 23) that forces padding up to 32 rows.
-        let specs = [
+        // 0-row spec; then a 1,500-row mix (not a power of two) on a
+        // decoder whose 96×96 product takes the parallel packed path.
+        let small = [
             SampleSpec::new(7, 11),
             SampleSpec::new(9, 5),
+            SampleSpec::new(0, 3),
             SampleSpec::new(7, 11),
         ];
-        let batched = model.sample_batch(&specs).unwrap();
-        for (spec, table) in specs.iter().zip(&batched) {
-            assert_eq!(table, &model.sample(spec.rows, spec.seed).unwrap());
+        let large = [SampleSpec::new(1_001, 6), SampleSpec::new(499, 12)];
+        for (hidden, specs) in [
+            (TvaeConfig::fast().hidden, &small[..]),
+            (vec![96, 96], &large[..]),
+        ] {
+            let mut model = Tvae::new(TvaeConfig {
+                hidden,
+                ..TvaeConfig::fast()
+            });
+            model.fit(&train).unwrap();
+            let batched = model.sample_batch(specs).unwrap();
+            assert_eq!(batched.len(), specs.len());
+            for (spec, table) in specs.iter().zip(&batched) {
+                assert_eq!(table.n_rows(), spec.rows);
+                assert_eq!(
+                    table,
+                    &sample_reference(&model, spec.rows, spec.seed).unwrap()
+                );
+            }
+            assert!(model.sample_batch(&[]).unwrap().is_empty());
         }
-        assert!(model.sample_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Two-level matmul kernel architecture behind [`crate::matrix::Matrix`]
-//! and [`crate::matrix32::Matrix32`].
+//! Two-level matmul kernel architecture behind [`crate::matrix::Matrix`].
 //!
 //! **Level 1 — vectorized microkernels.** Every inner kernel is written once,
 //! generically, over a tiny lane abstraction ([`SimdVec`]) whose
-//! implementations cover the full tier × element matrix: portable scalar,
-//! SSE2, AVX2, FMA and AVX-512 registers, each instantiated for `f64` and
-//! `f32` lanes (the `f32` instantiations double the lane count for the
-//! inference tier). The concrete instantiations live behind
-//! `#[target_feature]` wrappers and the generic bodies are
-//! `#[inline(always)]`, so each monomorphization compiles as one fully
-//! vectorized function; the tier to run is picked once per process by
+//! implementations cover every tier: portable scalar, SSE2, AVX2, FMA and
+//! AVX-512 registers of `f64` lanes. The kernels are also generic over the
+//! element type ([`Elem`]), which `f64` alone implements today. The concrete
+//! instantiations live behind `#[target_feature]` wrappers and the generic
+//! bodies are `#[inline(always)]`, so each monomorphization compiles as one
+//! fully vectorized function; the tier to run is picked once per process by
 //! [`crate::simd::active_tier`].
 //!
 //! **Level 2 — cache-blocked panel packing.** Shapes whose `B` operand
@@ -66,15 +64,13 @@ pub(crate) fn use_packed(m: usize, k: usize, n: usize) -> bool {
 
 thread_local! {
     /// Per-thread `A`/`B` pack buffers, grow-only, keyed by owning thread
-    /// via thread-local storage (one pair per element type).
+    /// via thread-local storage.
     static PACK_A_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     static PACK_B_F64: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    static PACK_A_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_B_F32: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Scalar element type the kernels are generic over: `f64` for the training
-/// path, `f32` for the inference tier. Besides arithmetic, an element type
+/// Scalar element type the kernels are generic over (`f64` is the only
+/// instantiation). Besides arithmetic, an element type
 /// knows its lane count per tier, owns its thread-local pack buffers, and
 /// dispatches the concrete `#[target_feature]` kernel instantiations for
 /// the active tier.
@@ -194,73 +190,6 @@ impl Elem for f64 {
     }
 }
 
-impl Elem for f32 {
-    const ZERO: Self = 0.0;
-
-    #[inline(always)]
-    fn lanes(tier: SimdTier) -> usize {
-        tier.lanes_f32()
-    }
-
-    #[inline(always)]
-    fn mul_add_sep(acc: Self, a: Self, b: Self) -> Self {
-        acc + a * b
-    }
-
-    fn with_pack_a<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_A_F32.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    fn with_pack_b<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
-        PACK_B_F32.with(|buf| f(&mut buf.borrow_mut()))
-    }
-
-    unsafe fn row_kernel(
-        tier: SimdTier,
-        a_base: *const Self,
-        a_stride: usize,
-        depth: usize,
-        b: *const Self,
-        n: usize,
-        out_row: *mut Self,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => row_kernel_avx512_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => row_kernel_fma_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => row_kernel_avx2_f32(a_base, a_stride, depth, b, n, out_row),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => row_kernel_v::<x86::Sse2F32>(a_base, a_stride, depth, b, n, out_row),
-            _ => row_kernel_v::<Scalar1<f32>>(a_base, a_stride, depth, b, n, out_row),
-        }
-    }
-
-    unsafe fn block_kernel(
-        tier: SimdTier,
-        apack: &[Self],
-        bpack: &[Self],
-        kc: usize,
-        mc: usize,
-        nc: usize,
-        c: *mut Self,
-        ldc: usize,
-    ) {
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx512 => block_kernel_avx512_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Fma => block_kernel_fma_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => block_kernel_avx2_f32(apack, bpack, kc, mc, nc, c, ldc),
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => block_kernel_v::<x86::Sse2F32>(apack, bpack, kc, mc, nc, c, ldc),
-            _ => block_kernel_v::<Scalar1<f32>>(apack, bpack, kc, mc, nc, c, ldc),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Lane abstraction.
 // ---------------------------------------------------------------------------
@@ -330,7 +259,6 @@ macro_rules! impl_scalar_lane {
 }
 
 impl_scalar_lane!(f64);
-impl_scalar_lane!(f32);
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -446,49 +374,6 @@ mod x86 {
         _mm512_loadu_pd,
         _mm512_storeu_pd,
         fused(_mm512_fmadd_pd, _mm512_sub_pd, _mm512_mul_pd, _mm512_add_pd)
-    );
-
-    // f32 lanes double every width: four (SSE, baseline), eight (AVX mul+add
-    // / FMA fused), sixteen (AVX-512 fused).
-    impl_x86_lane!(
-        Sse2F32,
-        f32,
-        __m128,
-        4,
-        _mm_set1_ps,
-        _mm_loadu_ps,
-        _mm_storeu_ps,
-        sep(_mm_sub_ps, _mm_mul_ps, _mm_add_ps)
-    );
-    impl_x86_lane!(
-        Avx2F32,
-        f32,
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        sep(_mm256_sub_ps, _mm256_mul_ps, _mm256_add_ps)
-    );
-    impl_x86_lane!(
-        FmaF32,
-        f32,
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        fused(_mm256_fmadd_ps, _mm256_sub_ps, _mm256_mul_ps, _mm256_add_ps)
-    );
-    impl_x86_lane!(
-        Avx512F32,
-        f32,
-        __m512,
-        16,
-        _mm512_set1_ps,
-        _mm512_loadu_ps,
-        _mm512_storeu_ps,
-        fused(_mm512_fmadd_ps, _mm512_sub_ps, _mm512_mul_ps, _mm512_add_ps)
     );
 }
 
@@ -613,28 +498,6 @@ kernel_wrappers!(
     row_kernel_avx512_f64,
     block_kernel_avx512_f64
 );
-kernel_wrappers!(
-    "avx2",
-    x86::Avx2F32,
-    f32,
-    row_kernel_avx2_f32,
-    block_kernel_avx2_f32
-);
-kernel_wrappers!(
-    "avx2,fma",
-    x86::FmaF32,
-    f32,
-    row_kernel_fma_f32,
-    block_kernel_fma_f32
-);
-kernel_wrappers!(
-    "avx512f",
-    x86::Avx512F32,
-    f32,
-    row_kernel_avx512_f32,
-    block_kernel_avx512_f32
-);
-
 // ---------------------------------------------------------------------------
 // Squared-distance tiles for the exact nearest-neighbour search in
 // `crate::knn`.

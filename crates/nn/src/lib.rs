@@ -10,8 +10,6 @@
 //!   SIMD-dispatched (scalar/SSE2/AVX2, plus opt-in FMA/AVX-512),
 //!   cache-blocked packed kernels with rayon parallelism (see [`simd`] for
 //!   the once-per-process tier choice),
-//! * [`matrix32`] — the forward-only `f32` twin for the inference/sampling
-//!   tier (same kernels, double the SIMD lanes; see [`mlp::Mlp::to_f32`]),
 //! * [`layer`] — linear layers and activation functions with manual
 //!   forward/backward passes,
 //! * [`mlp`] — a composable feed-forward network,
@@ -32,23 +30,19 @@ pub mod knn;
 pub mod layer;
 pub mod loss;
 pub mod matrix;
-pub mod matrix32;
 pub mod mlp;
 pub mod optim;
 pub mod sample;
 pub mod schedule;
 pub mod simd;
 
-pub use layer::{Activation, Layer, LinearLayer, LinearLayer32};
+pub use layer::{Activation, Layer, LinearLayer};
 pub use loss::{
     bce_with_logits, gaussian_kl, mse_loss, softmax_cross_entropy, softmax_rows, softmax_slice,
 };
 pub use matrix::Matrix;
-pub use matrix32::Matrix32;
-pub use mlp::{Mlp, Mlp32, MlpConfig};
+pub use mlp::{Mlp, MlpConfig};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
-pub use sample::{
-    gumbel_softmax, standard_normal_into, standard_normal_into_f32, standard_normal_matrix,
-};
+pub use sample::{gumbel_softmax, standard_normal_into, standard_normal_matrix};
 pub use schedule::{ConstantLr, CosineDecay, LrSchedule};
 pub use simd::{active_tier, SimdTier};

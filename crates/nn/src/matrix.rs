@@ -36,8 +36,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Work threshold (output cells × inner dimension) above which matmul runs
-/// in parallel (shared with the `f32` inference matrix in
-/// [`crate::matrix32`]).
+/// in parallel.
 pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 /// Square block edge for the cache-blocked transpose.

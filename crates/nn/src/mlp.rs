@@ -1,12 +1,10 @@
-//! Composable feed-forward networks (multi-layer perceptrons), plus the
-//! forward-only `f32` mirror ([`Mlp32`]) the sampling paths run on.
+//! Composable feed-forward networks (multi-layer perceptrons).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::layer::{Activation, Layer, LinearLayer, LinearLayer32};
+use crate::layer::{Activation, Layer, LinearLayer};
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
 use crate::optim::Optimizer;
 
 /// Architecture description of an MLP.
@@ -151,15 +149,6 @@ impl Mlp {
         }
     }
 
-    /// Down-convert the fitted network to the `f32` inference tier — done
-    /// **once** per fitted model, after which sampling runs entirely in
-    /// single precision through [`Mlp32::infer_into`].
-    pub fn to_f32(&self) -> Mlp32 {
-        Mlp32 {
-            layers: self.layers.iter().map(LinearLayer32::from_f64).collect(),
-        }
-    }
-
     /// Backward pass from dL/d(output); returns dL/d(input).
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         let mut layers = self.layers.iter_mut().rev();
@@ -262,59 +251,6 @@ impl Mlp {
     }
 }
 
-/// Forward-only `f32` mirror of a fitted [`Mlp`]: the weights were
-/// down-converted once by [`Mlp::to_f32`], and every layer runs the fused
-/// `f32` affine+activation kernels (double the SIMD lanes of the `f64`
-/// path). Carries no training state.
-#[derive(Debug, Clone)]
-pub struct Mlp32 {
-    layers: Vec<LinearLayer32>,
-}
-
-impl Mlp32 {
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.layers.first().map_or(0, LinearLayer32::in_dim)
-    }
-
-    /// Output width.
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().map_or(0, LinearLayer32::out_dim)
-    }
-
-    /// Inference-only forward pass (no buffer reuse).
-    pub fn infer(&self, input: &Matrix32) -> Matrix32 {
-        let mut out = Matrix32::default();
-        let mut scratch = Matrix32::default();
-        self.infer_into(input, &mut out, &mut scratch);
-        out
-    }
-
-    /// [`Mlp32::infer`] ping-ponging between two caller-owned buffers (the
-    /// `f32` twin of [`Mlp::infer_into`]): a sampling loop that reuses them
-    /// allocates nothing. The result always lands in `out`; `scratch` holds
-    /// a stale intermediate afterwards.
-    pub fn infer_into(&self, input: &Matrix32, out: &mut Matrix32, scratch: &mut Matrix32) {
-        let n_layers = self.layers.len();
-        if n_layers == 0 {
-            out.resize_zeroed(input.rows(), input.cols());
-            out.data_mut().copy_from_slice(input.data());
-            return;
-        }
-        for (i, layer) in self.layers.iter().enumerate() {
-            // Alternate buffers backwards from the last layer, which must
-            // write `out`.
-            let to_out = (n_layers - 1 - i).is_multiple_of(2);
-            match (i == 0, to_out) {
-                (true, true) => layer.infer_into(input, out),
-                (true, false) => layer.infer_into(input, scratch),
-                (false, true) => layer.infer_into(scratch, out),
-                (false, false) => layer.infer_into(out, scratch),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,34 +336,6 @@ mod tests {
             let x2 = Matrix::randn(5, 4, 1.0, &mut rng);
             mlp.forward_into(&x2, &mut out);
             assert_eq!(out, mlp.infer(&x2));
-        }
-    }
-
-    #[test]
-    fn f32_mlp_tracks_f64_and_is_deterministic() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for hidden in [vec![], vec![16], vec![32, 24]] {
-            let cfg = MlpConfig::relu(10, hidden, 6);
-            let mlp = Mlp::new(&cfg, &mut rng);
-            let mlp32 = mlp.to_f32();
-            assert_eq!(mlp32.input_dim(), 10);
-            assert_eq!(mlp32.output_dim(), 6);
-            let x = Matrix::randn(9, 10, 1.0, &mut rng);
-            let x32 = Matrix32::from_f64(&x);
-            let want = mlp.infer(&x);
-            let got = mlp32.infer(&x32);
-            for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-                assert!(
-                    (g as f64 - w).abs() <= 1e-3 * (1.0 + w.abs()),
-                    "element {i}: f32 {g} vs f64 {w}"
-                );
-            }
-            // Dirty, wrong-shaped buffers must be fixed up by infer_into,
-            // and the f32 path must be byte-deterministic.
-            let mut out = Matrix32::zeros(2, 3);
-            let mut scratch = Matrix32::zeros(1, 1);
-            mlp32.infer_into(&x32, &mut out, &mut scratch);
-            assert_eq!(out, got);
         }
     }
 

@@ -5,7 +5,6 @@ use rand_distr::{Distribution, Gumbel, Normal};
 
 use crate::loss::softmax_rows;
 use crate::matrix::Matrix;
-use crate::matrix32::Matrix32;
 
 /// Matrix of i.i.d. standard-normal samples (the latent noise for the VAE,
 /// GAN and diffusion models).
@@ -39,31 +38,6 @@ pub fn standard_normal_into<R: Rng>(rows: usize, cols: usize, rng: &mut R, out: 
     }
     if i < len {
         data[i] = normal_pair(rng).0;
-    }
-}
-
-/// Fill a caller-owned `f32` buffer with i.i.d. standard-normal samples —
-/// the inference-tier twin of [`standard_normal_into`].
-///
-/// The variates are drawn with the *same* `f64` pairwise Box–Muller
-/// transform and then rounded to `f32`, so for a given RNG state this
-/// produces exactly the `f32` rounding of the `f64` stream: an `f32`
-/// sampling run and an `f64` sampling run from the same seed consume
-/// identical draws and differ only by precision, which is what lets the
-/// end-to-end tests pin their distribution deltas tightly.
-pub fn standard_normal_into_f32<R: Rng>(rows: usize, cols: usize, rng: &mut R, out: &mut Matrix32) {
-    out.resize_zeroed(rows, cols);
-    let data = out.data_mut();
-    let len = data.len();
-    let mut i = 0;
-    while i + 2 <= len {
-        let (z0, z1) = normal_pair(rng);
-        data[i] = z0 as f32;
-        data[i + 1] = z1 as f32;
-        i += 2;
-    }
-    if i < len {
-        data[i] = normal_pair(rng).0 as f32;
     }
 }
 
@@ -147,25 +121,6 @@ mod tests {
         standard_normal_into(3, 5, &mut a, &mut first);
         standard_normal_into(3, 5, &mut b, &mut buf);
         assert_eq!(first, buf);
-    }
-
-    #[test]
-    fn f32_normal_fill_is_the_rounded_f64_stream() {
-        // Same seed: the f32 fill must be exactly the f32 rounding of the
-        // f64 fill, element for element (including the odd-length tail).
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        let mut hi = Matrix::zeros(0, 0);
-        let mut lo = Matrix32::zeros(4, 4);
-        standard_normal_into(5, 3, &mut a, &mut hi);
-        standard_normal_into_f32(5, 3, &mut b, &mut lo);
-        assert_eq!((lo.rows(), lo.cols()), (5, 3));
-        for (&l, &h) in lo.data().iter().zip(hi.data()) {
-            assert_eq!(l, h as f32);
-        }
-        // And both RNGs end in the same state.
-        use rand::RngCore;
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

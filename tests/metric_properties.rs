@@ -6,11 +6,15 @@
 //! pseudo-random cases per test (deterministic — failures are reproducible
 //! by construction).
 
-use panda_surrogate::metrics::{jensen_shannon_divergence, pearson, theils_u, wasserstein_1d};
+use panda_surrogate::metrics::{
+    diff_corr, distance_to_closest_record, jensen_shannon_divergence, mean_jsd, mean_wasserstein,
+    pearson, theils_u, wasserstein_1d, DcrConfig,
+};
 use panda_surrogate::tabular::{
     histogram, Column, NumericTransform, QuantileTransformer, StandardScaler, Table,
 };
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
@@ -191,5 +195,87 @@ fn table_take_preserves_row_content() {
             assert_eq!(sub.numerical("x").unwrap()[row], values[src]);
             assert_eq!(sub.label("c", row).unwrap(), labels[src].as_str());
         }
+    });
+}
+
+/// A random mixed table — two numerical and two categorical columns — with
+/// fewer rows than DCR's default caps, so DCR scores every row.
+fn mixed_table(rng: &mut StdRng) -> Table {
+    let n = rng.gen_range(20..150);
+    let mut table = Table::new();
+    for name in ["cpu", "bytes"] {
+        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e3..1e3)).collect();
+        table.push_column(name, Column::Numerical(values)).unwrap();
+    }
+    for (name, arity) in [("site", 4), ("status", 2)] {
+        let labels: Vec<String> = (0..n)
+            .map(|_| format!("{name}{}", rng.gen_range(0..arity)))
+            .collect();
+        table
+            .push_column(name, Column::from_labels(&labels))
+            .unwrap();
+    }
+    table
+}
+
+/// The table's rows in a random order.
+fn shuffled(table: &Table, rng: &mut StdRng) -> Table {
+    let mut order: Vec<usize> = (0..table.n_rows()).collect();
+    order.shuffle(rng);
+    table.take(&order)
+}
+
+/// Equality up to the reordering of a row-order sum.
+fn assert_close(label: &str, got: f64, want: f64) {
+    assert!(
+        (got - want).abs() <= 1e-12 * got.abs().max(want.abs()),
+        "{label}: {got} vs {want}"
+    );
+}
+
+#[test]
+fn table_metrics_are_invariant_under_row_permutation() {
+    let dcr = |train: &Table, synthetic: &Table| {
+        distance_to_closest_record(train, synthetic, DcrConfig::default())
+    };
+    for_each_case(11, |rng| {
+        let real = mixed_table(rng);
+        let synthetic = mixed_table(rng);
+        let real_p = shuffled(&real, rng);
+        let synthetic_p = shuffled(&synthetic, rng);
+        // Wasserstein sorts and JSD counts: exactly invariant.
+        assert_eq!(
+            mean_wasserstein(&real_p, &synthetic_p).unwrap(),
+            mean_wasserstein(&real, &synthetic).unwrap()
+        );
+        assert_eq!(
+            mean_jsd(&real_p, &synthetic_p).unwrap(),
+            mean_jsd(&real, &synthetic).unwrap()
+        );
+        // DCR takes an exact minimum over the training rows, then sums the
+        // minima in synthetic-row order.
+        let base = dcr(&real, &synthetic);
+        assert_eq!(dcr(&real_p, &synthetic), base);
+        assert_close("dcr", dcr(&real, &synthetic_p), base);
+        // diff-CORR's Pearson and correlation-ratio terms sum in row order.
+        assert_close(
+            "diff_corr",
+            diff_corr(&real_p, &synthetic_p),
+            diff_corr(&real, &synthetic),
+        );
+    });
+}
+
+#[test]
+fn table_metrics_vanish_on_identical_tables() {
+    for_each_case(12, |rng| {
+        let table = mixed_table(rng);
+        assert_eq!(mean_wasserstein(&table, &table).unwrap(), 0.0);
+        assert_eq!(mean_jsd(&table, &table).unwrap(), 0.0);
+        assert_eq!(diff_corr(&table, &table), 0.0);
+        assert_eq!(
+            distance_to_closest_record(&table, &table, DcrConfig::default()),
+            0.0
+        );
     });
 }
